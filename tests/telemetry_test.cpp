@@ -357,6 +357,54 @@ TEST_F(SamplerUnitTest, PercentileSeriesFromHistogramDeltas) {
   EXPECT_EQ(dsum, h->sum());
 }
 
+// A rule whose series does not exist yet reads 0 until the series is first
+// interned, then tracks it from that very sample: the watchdog must not
+// settle on "absent" when it first looks. The put-latency percentile series
+// only appears once the histogram records, here in the fourth interval.
+TEST_F(SamplerUnitTest, WatchdogRuleOnLateSeriesFiresOnFirstSampleItHolds) {
+  TelemetryConfig cfg;
+  cfg.rules = {WatchdogRule{"put_p99_high", "trace.op.put.p99",
+                            WatchdogRule::Cmp::kAtLeast, 1000, 1},
+               WatchdogRule{"put_p99_quiet", "trace.op.put.p99",
+                            WatchdogRule::Cmp::kEqual, 0, 2}};
+  Sampler sampler = MakeSampler(cfg);
+  stats::Histogram* h = metrics_.GetHistogram("trace.op.put.latency_ns");
+  stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
+
+  for (int i = 0; i < 3; ++i) {
+    ops->Increment();
+    clock_.Advance(sim::kMillisecond);
+    sampler.Poll();
+  }
+  ASSERT_EQ(sampler.samples().size(), 3u);
+  EXPECT_LT(sampler.series().Find("trace.op.put.p99"), 0);
+  // The absent series reads 0: the "quiet" rule fired at its second sample.
+  EXPECT_EQ(sampler.watchdog().states()[1].fired, 1u);
+  EXPECT_EQ(sampler.watchdog().states()[1].last_fire_ns, 2'000'000u);
+  EXPECT_EQ(sampler.watchdog().states()[0].fired, 0u);
+
+  h->Record(5000);
+  h->Record(6000);
+  clock_.Advance(sim::kMillisecond);
+  sampler.Poll();
+  EXPECT_GE(sampler.series().Find("trace.op.put.p99"), 0);
+  EXPECT_EQ(sampler.Latest("trace.op.put.p99"), 6144u);
+  const AlertState& high = sampler.watchdog().states()[0];
+  EXPECT_EQ(high.fired, 1u);
+  EXPECT_EQ(high.last_fire_ns, 4'000'000u);
+  EXPECT_EQ(high.last_value, 6144u);
+  // The quiet rule clears on the same sample.
+  EXPECT_EQ(sampler.watchdog().states()[1].cleared, 1u);
+  EXPECT_EQ(sampler.watchdog().states()[1].last_clear_ns, 4'000'000u);
+
+  // An interval with no recordings reads 0 again: the high rule clears.
+  clock_.Advance(sim::kMillisecond);
+  sampler.Poll();
+  EXPECT_EQ(sampler.Latest("trace.op.put.p99"), 0u);
+  EXPECT_EQ(sampler.watchdog().states()[0].cleared, 1u);
+  EXPECT_EQ(sampler.watchdog().states()[0].last_clear_ns, 5'000'000u);
+}
+
 TEST_F(SamplerUnitTest, HistogramWithNoRecordsEmitsNoSeries) {
   Sampler sampler = MakeSampler({});
   metrics_.GetHistogram("trace.op.get.latency_ns");  // Never recorded into.
