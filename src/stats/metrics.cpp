@@ -49,6 +49,16 @@ std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second.value();
 }
 
+const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
+  auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : &it->second;
+}
+
+const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
+  auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : &it->second;
+}
+
 std::map<std::string, std::uint64_t> MetricsRegistry::SnapshotCounters() const {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, c] : counters_) out.emplace(name, c.value());

@@ -67,7 +67,28 @@ class MetricsRegistry {
   // stays allocation-free.
   std::uint64_t CounterValue(std::string_view name) const;
 
-  // Flat snapshot of every counter (name -> value), sorted by name.
+  // Copy-free reads for sampling loops. The observation planes (telemetry
+  // Sampler, FleetAggregator, AttributionPlane) resolve their series against
+  // the live objects once through these and re-resolve only when a size
+  // grows; they never call the Snapshot* copies below.
+  std::size_t counter_count() const { return counters_.size(); }
+  std::size_t histogram_count() const { return histograms_.size(); }
+  // nullptr when no such counter/histogram exists (never creates one).
+  const Counter* FindCounter(std::string_view name) const;
+  const Histogram* FindHistogram(std::string_view name) const;
+  // Visits every counter / histogram in name order: fn(name, object). The
+  // name and object references stay valid for the registry's lifetime.
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    for (const auto& [name, c] : counters_) fn(name, c);
+  }
+  template <typename Fn>
+  void ForEachHistogram(Fn&& fn) const {
+    for (const auto& [name, h] : histograms_) fn(name, h);
+  }
+
+  // Flat snapshot of every counter (name -> value), sorted by name. Copies
+  // every name: for tests, benches and one-off reports, not sampling loops.
   std::map<std::string, std::uint64_t> SnapshotCounters() const;
 
   // In-place variant for sampling loops: updates `*out` to mirror the
@@ -80,8 +101,9 @@ class MetricsRegistry {
   // Empty histograms are included (count = 0).
   std::map<std::string, HistogramSnapshot> SnapshotHistograms() const;
 
-  // Full bucket snapshot of every histogram, sorted by name. The telemetry
-  // sampler diffs consecutive snapshots to build per-interval histograms.
+  // Full bucket snapshot of every histogram, sorted by name (528 B per
+  // histogram, empty ones included). For tests and reports; the sampling
+  // planes read the live histograms through ForEachHistogram instead.
   std::map<std::string, HistogramBuckets> SnapshotHistogramBuckets() const;
 
   void ResetAll();

@@ -1,23 +1,12 @@
 #include "telemetry/attribution/attribution.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace bandslim::telemetry::attribution {
 
 namespace {
-
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
 
 // The counters a tenant op is charged against — the same four families the
 // fleet's delta.* series track, so the residual reconciles exactly.
@@ -27,6 +16,49 @@ constexpr const char* kNandPagesCounter = "nand.pages_programmed";
 constexpr const char* kH2dCounters[4] = {
     "pcie.mmio.h2d_bytes", "pcie.cmd_fetch.h2d_bytes",
     "pcie.dma_data.h2d_bytes", "pcie.completion.h2d_bytes"};
+
+// Series names, in the order OnFleetSample emits them.
+constexpr const char* kUntaggedSeries[] = {
+    "untagged.dev.ops",
+    "untagged.delta.dev.ops",
+    "untagged.value_bytes",
+    "untagged.delta.value_bytes",
+    "untagged.pcie.h2d_bytes",
+    "untagged.delta.pcie.h2d_bytes",
+    "untagged.nand.pages_programmed",
+    "untagged.delta.nand.pages_programmed"};
+// Suffixes of the per-tenant "tenant<i>" series.
+constexpr const char* kTenantSeries[] = {
+    ".ops",
+    ".delta.ops",
+    ".shed",
+    ".delta.shed",
+    ".errors",
+    ".requested_bytes",
+    ".dev.ops",
+    ".delta.dev.ops",
+    ".value_bytes",
+    ".delta.value_bytes",
+    ".pcie.h2d_bytes",
+    ".delta.pcie.h2d_bytes",
+    ".nand.pages_programmed",
+    ".delta.nand.pages_programmed",
+    ".rate.ops_per_sec_milli",
+    ".rate.taf_milli",
+    ".total.taf_milli",
+    ".p50",
+    ".p95",
+    ".p99",
+    ".lifetime.p99",
+    ".slo.good",
+    ".slo.bad",
+    ".slo.delta.bad",
+    ".slo.burn_fast_milli",
+    ".slo.burn_slow_milli",
+    ".slo.budget_spent_permille"};
+constexpr const char* kHeatSeries[] = {"heat.touches", "heat.weight",
+                                       "heat.max_share_permille",
+                                       "heat.hot_range"};
 
 // Allowed bad share in permille; floored at 1 so the burn-rate quotient is
 // always defined (a 100.0% availability target reads as 99.9%).
@@ -191,12 +223,9 @@ void AttributionPlane::TouchKey(std::uint64_t key_hash) {
   ++heat_touches_;
 }
 
-void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
+void AttributionPlane::OnFleetSample(sim::Nanoseconds interval_ns,
+                                     SeriesSlots* slots,
                                      const FleetTotals& totals) {
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s->Set(series->Intern(name), value);
-  };
-
   // --- Untagged residual: fleet totals minus the sum of tenant charges ----
   // Both sides are read at the same instant (inside TakeSample, after the
   // op that crossed the boundary fully completed), so the residual is exact
@@ -212,46 +241,49 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
   untagged_.value_bytes = totals.value_bytes - sums.value_bytes;
   untagged_.pcie_h2d_bytes = totals.pcie_h2d_bytes - sums.pcie_h2d_bytes;
   untagged_.nand_pages = totals.nand_pages - sums.nand_pages;
-  set("untagged.dev.ops", untagged_.dev_ops);
-  set("untagged.delta.dev.ops", untagged_.dev_ops - prev_untagged_.dev_ops);
-  set("untagged.value_bytes", untagged_.value_bytes);
-  set("untagged.delta.value_bytes",
-      untagged_.value_bytes - prev_untagged_.value_bytes);
-  set("untagged.pcie.h2d_bytes", untagged_.pcie_h2d_bytes);
-  set("untagged.delta.pcie.h2d_bytes",
-      untagged_.pcie_h2d_bytes - prev_untagged_.pcie_h2d_bytes);
-  set("untagged.nand.pages_programmed", untagged_.nand_pages);
-  set("untagged.delta.nand.pages_programmed",
-      untagged_.nand_pages - prev_untagged_.nand_pages);
+  untagged_ids_.Resolve(slots, kUntaggedSeries);
+  const std::uint64_t untagged[] = {
+      untagged_.dev_ops,
+      untagged_.dev_ops - prev_untagged_.dev_ops,
+      untagged_.value_bytes,
+      untagged_.value_bytes - prev_untagged_.value_bytes,
+      untagged_.pcie_h2d_bytes,
+      untagged_.pcie_h2d_bytes - prev_untagged_.pcie_h2d_bytes,
+      untagged_.nand_pages,
+      untagged_.nand_pages - prev_untagged_.nand_pages};
+  for (std::size_t k = 0; k < std::size(untagged); ++k) {
+    slots->Set(untagged_ids_[k], untagged[k]);
+  }
   prev_untagged_ = untagged_;
 
   // --- Per-tenant series ---------------------------------------------------
+  tenant_ids_.Resolve(slots, tenants_.size(), [](std::size_t i, std::size_t k) {
+    return "tenant" + std::to_string(i) + kTenantSeries[k];
+  });
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const TenantCharges& t = tenants_[i];
     const TenantCharges& p = prev_tenants_[i];
-    const std::string base = "tenant" + std::to_string(i);
-    set(base + ".ops", t.ops);
-    set(base + ".delta.ops", t.ops - p.ops);
-    set(base + ".shed", t.shed_ops);
-    set(base + ".delta.shed", t.shed_ops - p.shed_ops);
-    set(base + ".errors", t.error_ops);
-    set(base + ".requested_bytes", t.requested_bytes);
-    set(base + ".dev.ops", t.dev_ops);
-    set(base + ".delta.dev.ops", t.dev_ops - p.dev_ops);
-    set(base + ".value_bytes", t.value_bytes);
-    set(base + ".delta.value_bytes", t.value_bytes - p.value_bytes);
-    set(base + ".pcie.h2d_bytes", t.pcie_h2d_bytes);
-    set(base + ".delta.pcie.h2d_bytes",
-        t.pcie_h2d_bytes - p.pcie_h2d_bytes);
-    set(base + ".nand.pages_programmed", t.nand_pages);
-    set(base + ".delta.nand.pages_programmed", t.nand_pages - p.nand_pages);
-    set(base + ".rate.ops_per_sec_milli",
-        PerSecondMilli(t.ops - p.ops, s->interval_ns));
-    set(base + ".rate.taf_milli",
-        RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
+    const auto& ids = tenant_ids_[i];
+    std::size_t k = 0;
+    const auto set = [&](std::uint64_t value) { slots->Set(ids[k++], value); };
+    set(t.ops);
+    set(t.ops - p.ops);
+    set(t.shed_ops);
+    set(t.shed_ops - p.shed_ops);
+    set(t.error_ops);
+    set(t.requested_bytes);
+    set(t.dev_ops);
+    set(t.dev_ops - p.dev_ops);
+    set(t.value_bytes);
+    set(t.value_bytes - p.value_bytes);
+    set(t.pcie_h2d_bytes);
+    set(t.pcie_h2d_bytes - p.pcie_h2d_bytes);
+    set(t.nand_pages);
+    set(t.nand_pages - p.nand_pages);
+    set(PerSecondMilli(t.ops - p.ops, interval_ns));
+    set(RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
                    t.value_bytes - p.value_bytes));
-    set(base + ".total.taf_milli",
-        RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
+    set(RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
 
     // Interval latency percentiles from the tenant histogram's bucket delta
     // — same shared-boundary exactness as the fleet's merged percentiles.
@@ -263,13 +295,10 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
           prev_latency_buckets_[i][static_cast<std::size_t>(b)];
     }
     const std::uint64_t d_count = latency_[i].count() - prev_latency_counts_[i];
-    set(base + ".p50",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-    set(base + ".p95",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-    set(base + ".p99",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-    set(base + ".lifetime.p99", latency_[i].QuantilePermille(990));
+    set(stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
+    set(stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
+    set(stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
+    set(latency_[i].QuantilePermille(990));
     prev_latency_buckets_[i] = cur;
     prev_latency_counts_[i] = latency_[i].count();
 
@@ -299,12 +328,12 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
     // lifetime budget is exactly exhausted.
     state.budget_spent_permille =
         t.ops == 0 ? 0 : t.bad_ops * 1000 * 1000 / (t.ops * allowed);
-    set(base + ".slo.good", t.good_ops);
-    set(base + ".slo.bad", t.bad_ops);
-    set(base + ".slo.delta.bad", t.bad_ops - p.bad_ops);
-    set(base + ".slo.burn_fast_milli", state.burn_fast_milli);
-    set(base + ".slo.burn_slow_milli", state.burn_slow_milli);
-    set(base + ".slo.budget_spent_permille", state.budget_spent_permille);
+    set(t.good_ops);
+    set(t.bad_ops);
+    set(t.bad_ops - p.bad_ops);
+    set(state.burn_fast_milli);
+    set(state.burn_slow_milli);
+    set(state.budget_spent_permille);
     prev_tenants_[i] = t;
   }
 
@@ -319,10 +348,11 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
     }
   }
   heat_max_share_permille_ = total == 0 ? 0 : max_weight * 1000 / total;
-  set("heat.touches", heat_touches_);
-  set("heat.weight", total);
-  set("heat.max_share_permille", heat_max_share_permille_);
-  set("heat.hot_range", heat_hot_range_);
+  heat_ids_.Resolve(slots, kHeatSeries);
+  slots->Set(heat_ids_[0], heat_touches_);
+  slots->Set(heat_ids_[1], total);
+  slots->Set(heat_ids_[2], heat_max_share_permille_);
+  slots->Set(heat_ids_[3], heat_hot_range_);
   for (std::uint64_t& w : heat_) {
     w = w * config_.heat_decay_keep_permille / 1000;
   }

@@ -49,6 +49,7 @@
 #include "stats/histogram.h"
 #include "stats/metrics.h"
 #include "telemetry/sample.h"
+#include "telemetry/series_slots.h"
 #include "telemetry/watchdog.h"
 
 namespace bandslim::telemetry::attribution {
@@ -186,11 +187,14 @@ class AttributionPlane {
   void TouchKey(std::uint64_t key_hash);
 
   // --- Sample grid (FleetAggregator::TakeSample) --------------------------
-  // Folds tenant/heat/SLO series into the fleet sample being built, updates
-  // the untagged residual against `totals`, advances burn windows, and
-  // decays the heat buckets. Must run before the sample's values are sorted
-  // and before the watchdog evaluates it.
-  void OnFleetSample(Sample* s, SeriesTable* series,
+  // Folds tenant/heat/SLO series into the fleet sample being built in
+  // `slots` (between its Begin and Finish; `interval_ns` is the sample's
+  // interval), updates the untagged residual against `totals`, advances
+  // burn windows, and decays the heat buckets. Must run before the watchdog
+  // evaluates the sample. Series ids are interned on the first call (and
+  // for tenants added by a later Bind), so steady-state calls build no
+  // names.
+  void OnFleetSample(sim::Nanoseconds interval_ns, SeriesSlots* slots,
                      const FleetTotals& totals);
 
   // --- Exports -------------------------------------------------------------
@@ -255,6 +259,11 @@ class AttributionPlane {
   // Trailing good/bad interval deltas per tenant (ring of slow_windows).
   std::vector<std::deque<std::pair<std::uint64_t, std::uint64_t>>> windows_;
   std::vector<SloState> slo_;
+
+  // Series ids, in the order OnFleetSample first emits them.
+  SeriesGroup<8> untagged_ids_;
+  IndexedSeries<27> tenant_ids_;
+  SeriesGroup<4> heat_ids_;
 
   std::vector<std::uint64_t> heat_;  // Decayed per-range weight.
   std::uint64_t heat_touches_ = 0;   // Lifetime touch count (no decay).

@@ -4,6 +4,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "telemetry/attribution/attribution.h"
@@ -13,50 +15,47 @@ namespace bandslim::telemetry {
 
 namespace {
 
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
-
-// "trace.op.put.latency_ns" -> "trace.op.put", as in the device sampler, so
-// fleet percentile series share the per-device naming scheme.
-std::string PercentileBase(const std::string& hist_name) {
-  static constexpr char kLatencySuffix[] = ".latency_ns";
-  static constexpr char kNsSuffix[] = "_ns";
-  if (hist_name.size() > sizeof(kLatencySuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kLatencySuffix) - 1),
-                        sizeof(kLatencySuffix) - 1, kLatencySuffix) == 0) {
-    return hist_name.substr(0,
-                            hist_name.size() - (sizeof(kLatencySuffix) - 1));
-  }
-  if (hist_name.size() > sizeof(kNsSuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kNsSuffix) - 1),
-                        sizeof(kNsSuffix) - 1, kNsSuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kNsSuffix) - 1));
-  }
-  return hist_name;
-}
-
 // The registry mirrors PCIe bytes as one counter per traffic class
 // ("pcie.mmio.h2d_bytes" ... "pcie.completion.h2d_bytes"); their sum is the
 // link's host-to-device byte total, exactly as KvSsd::GetStats computes it.
-bool IsPcieH2dBytes(const std::string& name) {
-  static constexpr char kPrefix[] = "pcie.";
-  static constexpr char kSuffix[] = ".h2d_bytes";
-  return name.size() > sizeof(kPrefix) - 1 + sizeof(kSuffix) - 1 &&
-         name.compare(0, sizeof(kPrefix) - 1, kPrefix) == 0 &&
-         name.compare(name.size() - (sizeof(kSuffix) - 1),
-                      sizeof(kSuffix) - 1, kSuffix) == 0;
+bool IsPcieH2dBytes(std::string_view name) {
+  static constexpr std::string_view kPrefix = "pcie.";
+  static constexpr std::string_view kSuffix = ".h2d_bytes";
+  return name.size() > kPrefix.size() + kSuffix.size() &&
+         name.compare(0, kPrefix.size(), kPrefix) == 0 &&
+         name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                      kSuffix) == 0;
 }
 
 constexpr char kOpLatencyHist[] = "trace.op.latency_ns";
+
+// Summed shard counters the derived series read, by role.
+enum CounterRole : std::size_t { kOps, kValueBytes, kPagesProgrammed };
+constexpr const char* kRoleCounters[] = {"nvme.commands_submitted",
+                                         "controller.value_bytes_written",
+                                         "nand.pages_programmed"};
+constexpr const char* kPcieH2dCounters[] = {
+    "pcie.mmio.h2d_bytes", "pcie.cmd_fetch.h2d_bytes",
+    "pcie.dma_data.h2d_bytes", "pcie.completion.h2d_bytes"};
+
+// Fleet derived series, in the order TakeSample emits them.
+constexpr const char* kDerivedSeries[] = {
+    "fleet.shards",
+    "delta.ops",
+    "delta.value_bytes",
+    "delta.pcie.h2d_bytes",
+    "delta.nand.pages_programmed",
+    "rate.ops_per_sec_milli",
+    "rate.taf_milli",
+    "total.taf_milli",
+    "fleet.imbalance.ops_max_over_mean_milli",
+    "fleet.skew.p99_max_over_fleet_milli",
+    "fleet.ring.skew_permille",
+    "fleet.straggler.stalled_shards"};
+
+std::uint64_t ValueOf(const stats::Counter* c) {
+  return c == nullptr ? 0 : c->value();
+}
 
 }  // namespace
 
@@ -110,7 +109,11 @@ FleetAggregator::FleetAggregator(const sim::VirtualClock* router_clock,
     : clock_(router_clock),
       config_(config),
       event_log_(router_clock, config.event_capacity),
-      watchdog_(config.rules) {}
+      watchdog_(config.rules) {
+  static_assert(std::tuple_size_v<decltype(roles_)> ==
+                std::size(kRoleCounters));
+  roles_.fill(-1);
+}
 
 void FleetAggregator::Bind(std::vector<ShardSource> shards,
                            const std::vector<std::uint64_t>* routed_keys,
@@ -118,6 +121,13 @@ void FleetAggregator::Bind(std::vector<ShardSource> shards,
   shards_ = std::move(shards);
   routed_keys_ = routed_keys;
   expected_share_permille_ = std::move(expected_share_permille);
+  refs_.assign(shards_.size(), ShardRefs{});
+  std::vector<const stats::MetricsRegistry*> registries;
+  for (const ShardSource& src : shards_) {
+    if (src.metrics != nullptr) registries.push_back(src.metrics);
+  }
+  counters_.Bind(registries);
+  hists_.Bind(std::move(registries));
   windows_.assign(shards_.size(), ShardWindow{});
   prev_shard_ops_.assign(shards_.size(), 0);
   last_shard_op_hist_.assign(shards_.size(), stats::HistogramBuckets{});
@@ -160,7 +170,7 @@ void FleetAggregator::Finalize() {
 
 std::uint64_t FleetAggregator::Latest(const std::string& name) const {
   if (samples_.empty()) return 0;
-  const std::int64_t id = series_.Find(name);
+  const std::int64_t id = slots_.table().Find(name);
   if (id < 0) return 0;
   return samples_.back().Value(static_cast<std::uint32_t>(id));
 }
@@ -170,19 +180,7 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   s.t_ns = stamp;
   s.interval_ns = stamp - last_sample_ns_;
   s.seq = next_seq_++;
-  const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
-  const auto prev_of = [&](std::uint32_t id) -> std::uint64_t {
-    return prev == nullptr ? 0 : prev->Value(id);
-  };
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s.Set(series_.Intern(name), value);
-  };
-  const auto cumulative = [&](const std::string& name,
-                              std::uint64_t value) -> std::uint64_t {
-    const std::uint32_t id = series_.Intern(name);
-    s.Set(id, value);
-    return value - prev_of(id);
-  };
+  slots_.Begin();
 
   // --- Per-shard reads: one instant, one pass ----------------------------
   // Every shard's counters are read while the routed op that crossed the
@@ -190,51 +188,45 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   // the per-shard windows describe the same cut — the reconciliation
   // invariant (fleet delta == sum of shard deltas) is exact by construction.
   const std::size_t n = shards_.size();
-  summed_.clear();
-  merged_hist_.clear();
   std::uint64_t max_shard_p99 = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardSource& src = shards_[i];
     ShardWindow& w = windows_[i];
     w.p99_ns = 0;
     if (src.metrics != nullptr) {
-      for (const auto& [name, value] : src.metrics->SnapshotCounters()) {
-        summed_[name] += value;
-      }
-      for (const auto& [name, cur] :
-           src.metrics->SnapshotHistogramBuckets()) {
-        if (cur.count == 0) continue;
-        stats::HistogramBuckets& merged = merged_hist_[name];
-        for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-          merged.buckets[static_cast<std::size_t>(b)] +=
-              cur.buckets[static_cast<std::size_t>(b)];
+      ShardRefs& r = refs_[i];
+      if (r.counters_seen != src.metrics->counter_count()) {
+        r.counters_seen = src.metrics->counter_count();
+        r.ops = src.metrics->FindCounter(kRoleCounters[kOps]);
+        r.value_bytes = src.metrics->FindCounter(kRoleCounters[kValueBytes]);
+        for (std::size_t c = 0; c < r.h2d.size(); ++c) {
+          r.h2d[c] = src.metrics->FindCounter(kPcieH2dCounters[c]);
         }
-        merged.count += cur.count;
-        merged.sum += cur.sum;
-        if (name == kOpLatencyHist) {
-          stats::HistogramBuckets& last = last_shard_op_hist_[i];
-          stats::Histogram::BucketArray delta{};
-          for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-            delta[static_cast<std::size_t>(b)] =
-                cur.buckets[static_cast<std::size_t>(b)] -
-                last.buckets[static_cast<std::size_t>(b)];
-          }
-          w.p99_ns = stats::Histogram::QuantileFromBuckets(
-              delta, cur.count - last.count, 990);
-          max_shard_p99 = std::max(max_shard_p99, w.p99_ns);
-          last = cur;
-        }
+        r.pages = src.metrics->FindCounter(kRoleCounters[kPagesProgrammed]);
       }
-      w.ops = src.metrics->CounterValue("nvme.commands_submitted");
-      w.value_bytes =
-          src.metrics->CounterValue("controller.value_bytes_written");
-      w.pcie_h2d_bytes =
-          src.metrics->CounterValue("pcie.mmio.h2d_bytes") +
-          src.metrics->CounterValue("pcie.cmd_fetch.h2d_bytes") +
-          src.metrics->CounterValue("pcie.dma_data.h2d_bytes") +
-          src.metrics->CounterValue("pcie.completion.h2d_bytes");
-      w.nand_pages_programmed =
-          src.metrics->CounterValue("nand.pages_programmed");
+      if (r.hists_seen != src.metrics->histogram_count()) {
+        r.hists_seen = src.metrics->histogram_count();
+        r.op_latency = src.metrics->FindHistogram(kOpLatencyHist);
+      }
+      if (r.op_latency != nullptr && r.op_latency->count() != 0) {
+        const stats::Histogram& cur = *r.op_latency;
+        stats::HistogramBuckets& last = last_shard_op_hist_[i];
+        stats::Histogram::BucketArray delta{};
+        for (std::size_t b = 0; b < delta.size(); ++b) {
+          delta[b] = cur.bucket_counts()[b] - last.buckets[b];
+        }
+        w.p99_ns = stats::Histogram::QuantileFromBuckets(
+            delta, cur.count() - last.count, 990);
+        max_shard_p99 = std::max(max_shard_p99, w.p99_ns);
+        last.buckets = cur.bucket_counts();
+        last.count = cur.count();
+        last.sum = cur.sum();
+      }
+      w.ops = ValueOf(r.ops);
+      w.value_bytes = ValueOf(r.value_bytes);
+      w.pcie_h2d_bytes = 0;
+      for (const stats::Counter* c : r.h2d) w.pcie_h2d_bytes += ValueOf(c);
+      w.nand_pages_programmed = ValueOf(r.pages);
     }
     w.delta_ops = w.ops - prev_shard_ops_[i];
     prev_shard_ops_[i] = w.ops;
@@ -245,23 +237,28 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   }
 
   // --- Cluster cumulative series: summed shard counters, verbatim names --
-  std::uint64_t cum_ops = 0, cum_vb = 0, cum_h2d = 0, cum_pages = 0;
-  std::uint64_t d_ops = 0, d_vb = 0, d_pages = 0, d_h2d = 0;
-  for (const auto& [name, value] : summed_) {
-    const std::uint64_t delta = cumulative(name, value);
-    if (name == "nvme.commands_submitted") {
-      cum_ops = value;
-      d_ops = delta;
-    } else if (name == "controller.value_bytes_written") {
-      cum_vb = value;
-      d_vb = delta;
-    } else if (name == "nand.pages_programmed") {
-      cum_pages = value;
-      d_pages = delta;
-    } else if (IsPcieH2dBytes(name)) {
-      cum_h2d += value;
-      d_h2d += delta;
+  if (counters_.Refresh(&slots_)) {
+    for (std::size_t r = 0; r < roles_.size(); ++r) {
+      roles_[r] = counters_.IndexOf(kRoleCounters[r]);
     }
+    h2d_slots_.clear();
+    for (std::size_t i = 0; i < counters_.size(); ++i) {
+      if (IsPcieH2dBytes(counters_.name(i))) {
+        h2d_slots_.push_back(static_cast<std::int64_t>(i));
+      }
+    }
+  }
+  counters_.Sample(&slots_);
+  const std::uint64_t cum_ops = counters_.value(roles_[kOps]);
+  const std::uint64_t cum_vb = counters_.value(roles_[kValueBytes]);
+  const std::uint64_t cum_pages = counters_.value(roles_[kPagesProgrammed]);
+  const std::uint64_t d_ops = counters_.delta(roles_[kOps]);
+  const std::uint64_t d_vb = counters_.delta(roles_[kValueBytes]);
+  const std::uint64_t d_pages = counters_.delta(roles_[kPagesProgrammed]);
+  std::uint64_t cum_h2d = 0, d_h2d = 0;
+  for (const std::int64_t i : h2d_slots_) {
+    cum_h2d += counters_.value(i);
+    d_h2d += counters_.delta(i);
   }
 
   // --- Merged-histogram percentiles ---------------------------------------
@@ -270,48 +267,22 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   // merged cumulative buckets — by the shared-boundary argument these equal
   // the quantiles over the union of every shard's recordings, which the
   // fleet test asserts against a replayed union histogram.
-  std::uint64_t fleet_p99 = 0;
-  for (const auto& [name, cur] : merged_hist_) {
-    stats::HistogramBuckets& last = last_hist_[name];
-    stats::Histogram::BucketArray delta{};
-    for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-      delta[static_cast<std::size_t>(b)] =
-          cur.buckets[static_cast<std::size_t>(b)] -
-          last.buckets[static_cast<std::size_t>(b)];
-    }
-    const std::uint64_t d_count = cur.count - last.count;
-    const std::uint64_t d_sum = cur.sum - last.sum;
-    const std::string base = PercentileBase(name);
-    set("hist." + base + ".count", cur.count);
-    set("delta." + base + ".count", d_count);
-    set("delta." + base + ".sum", d_sum);
-    set(base + ".p50",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-    set(base + ".p95",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-    set(base + ".p99",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-    set("lifetime." + base + ".p50",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 500));
-    set("lifetime." + base + ".p95",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 950));
-    set("lifetime." + base + ".p99",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 990));
-    if (name == kOpLatencyHist) {
-      fleet_p99 = stats::Histogram::QuantileFromBuckets(delta, d_count, 990);
-    }
-    last = cur;
-  }
+  if (hists_.Sample(&slots_)) op_hist_ = hists_.IndexOf(kOpLatencyHist);
+  const std::uint64_t fleet_p99 = hists_.interval_p99(op_hist_);
 
   // --- Per-shard series and imbalance inputs ------------------------------
+  shard_ids_.Resolve(&slots_, n, [](std::size_t i, std::size_t k) {
+    static constexpr const char* kSuffix[] = {".ops", ".delta.ops",
+                                              ".routed_keys", ".p99_ns"};
+    return "shard" + std::to_string(i) + kSuffix[k];
+  });
   std::uint64_t max_delta_ops = 0, stalled = 0, total_routed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardWindow& w = windows_[i];
-    const std::string base = "shard" + std::to_string(i);
-    set(base + ".ops", w.ops);
-    set(base + ".delta.ops", w.delta_ops);
-    set(base + ".routed_keys", w.routed_keys);
-    set(base + ".p99_ns", w.p99_ns);
+    slots_.Set(shard_ids_[i][0], w.ops);
+    slots_.Set(shard_ids_[i][1], w.delta_ops);
+    slots_.Set(shard_ids_[i][2], w.routed_keys);
+    slots_.Set(shard_ids_[i][3], w.p99_ns);
     max_delta_ops = std::max(max_delta_ops, w.delta_ops);
     if (w.delta_ops == 0) ++stalled;
     total_routed += w.routed_keys;
@@ -330,39 +301,40 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   }
 
   // --- Fleet derived series and watchdog rule inputs ----------------------
-  set("fleet.shards", n);
-  set("delta.ops", d_ops);
-  set("delta.value_bytes", d_vb);
-  set("delta.pcie.h2d_bytes", d_h2d);
-  set("delta.nand.pages_programmed", d_pages);
-  set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, s.interval_ns));
-  set("rate.taf_milli", RatioMilli(d_h2d, d_vb));
-  set("total.taf_milli", RatioMilli(cum_h2d, cum_vb));
+  derived_ids_.Resolve(&slots_, kDerivedSeries);
+  std::size_t k = 0;
+  slots_.Set(derived_ids_[k++], n);
+  slots_.Set(derived_ids_[k++], d_ops);
+  slots_.Set(derived_ids_[k++], d_vb);
+  slots_.Set(derived_ids_[k++], d_h2d);
+  slots_.Set(derived_ids_[k++], d_pages);
+  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, s.interval_ns));
+  slots_.Set(derived_ids_[k++], RatioMilli(d_h2d, d_vb));
+  slots_.Set(derived_ids_[k++], RatioMilli(cum_h2d, cum_vb));
   // max/mean x1000 == max * N * 1000 / total; 0 on an idle interval so the
   // imbalance rule never fires while the fleet is quiet.
-  set("fleet.imbalance.ops_max_over_mean_milli",
-      d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
-  set("fleet.skew.p99_max_over_fleet_milli",
-      fleet_p99 == 0 ? 0 : max_shard_p99 * kMilliScale / fleet_p99);
-  set("fleet.ring.skew_permille", ring_skew);
-  set("fleet.straggler.stalled_shards", d_ops > 0 ? stalled : 0);
+  slots_.Set(derived_ids_[k++],
+             d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
+  slots_.Set(derived_ids_[k++],
+             fleet_p99 == 0 ? 0 : max_shard_p99 * kMilliScale / fleet_p99);
+  slots_.Set(derived_ids_[k++], ring_skew);
+  slots_.Set(derived_ids_[k++], d_ops > 0 ? stalled : 0);
 
   // --- Tenant/key-space attribution series --------------------------------
-  // Folded into THIS sample before the sort and the watchdog pass, so the
-  // burn-rate and hot-range rules evaluate against the same interval cut as
-  // every fleet rule, and the untagged residual reconciles against the
-  // exact cumulative counters captured above.
+  // Folded into THIS sample before the watchdog pass, so the burn-rate and
+  // hot-range rules evaluate against the same interval cut as every fleet
+  // rule, and the untagged residual reconciles against the exact cumulative
+  // counters captured above.
   if (attribution_ != nullptr && attribution_->enabled()) {
     attribution::AttributionPlane::FleetTotals totals;
     totals.ops = cum_ops;
     totals.value_bytes = cum_vb;
     totals.pcie_h2d_bytes = cum_h2d;
     totals.nand_pages = cum_pages;
-    attribution_->OnFleetSample(&s, &series_, totals);
+    attribution_->OnFleetSample(s.interval_ns, &slots_, totals);
   }
 
-  std::sort(s.values.begin(), s.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  slots_.Finish(&s);
   s.events_before = event_log_.total_emitted();
 
   last_sample_ns_ = stamp;
@@ -371,7 +343,7 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
     ++dropped_samples_;
   }
   samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), series_, &event_log_);
+  watchdog_.Evaluate(samples_.back(), slots_.table(), &event_log_);
 
   if (config_.publish_every != 0 &&
       samples_.back().seq % config_.publish_every == 0) {
@@ -381,7 +353,8 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
 
 std::string FleetAggregator::ToPrometheusText() const {
   std::string out = PrometheusTextCore(
-      samples_, series_, watchdog_, next_seq_, "bandslim_fleet_samples_total",
+      samples_, slots_.table(), watchdog_, next_seq_,
+      "bandslim_fleet_samples_total",
       "Fleet samples emitted by the cluster aggregator.");
   if (samples_.empty() || windows_.empty()) return out;
   const std::uint64_t ts_ms = samples_.back().t_ns / sim::kMillisecond;
@@ -417,7 +390,7 @@ std::string FleetAggregator::ToPrometheusText() const {
 }
 
 std::string FleetAggregator::ToJsonl() const {
-  return TimelineJsonlCore(samples_, series_, event_log_, watchdog_);
+  return TimelineJsonlCore(samples_, slots_.table(), event_log_, watchdog_);
 }
 
 std::string FleetAggregator::ShardsJsonl() const {

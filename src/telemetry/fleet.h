@@ -25,9 +25,9 @@
 // across runs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,7 @@
 #include "stats/metrics.h"
 #include "telemetry/event_log.h"
 #include "telemetry/sample.h"
+#include "telemetry/series_slots.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/watchdog.h"
 
@@ -134,7 +135,7 @@ class FleetAggregator {
   void Finalize();
 
   const std::deque<Sample>& samples() const { return samples_; }
-  const SeriesTable& series() const { return series_; }
+  const SeriesTable& series() const { return slots_.table(); }
   std::uint64_t samples_emitted() const { return next_seq_; }
   std::uint64_t dropped_samples() const { return dropped_samples_; }
   EventLog& event_log() { return event_log_; }
@@ -177,22 +178,42 @@ class FleetAggregator {
   FleetConfig config_;
   EventLog event_log_;
   Watchdog watchdog_;
-  SeriesTable series_;
+
+  // A shard's live objects behind its ShardWindow (nullptr while absent;
+  // re-found when the shard's registry grows).
+  struct ShardRefs {
+    std::size_t counters_seen = ~std::size_t{0};
+    std::size_t hists_seen = ~std::size_t{0};
+    const stats::Counter* ops = nullptr;
+    const stats::Counter* value_bytes = nullptr;
+    std::array<const stats::Counter*, 4> h2d{};
+    const stats::Counter* pages = nullptr;
+    const stats::Histogram* op_latency = nullptr;
+  };
 
   std::vector<ShardSource> shards_;
+  std::vector<ShardRefs> refs_;
   const std::vector<std::uint64_t>* routed_keys_ = nullptr;
   std::vector<std::uint64_t> expected_share_permille_;
 
   std::deque<Sample> samples_;
   std::vector<ShardWindow> windows_;
   // Previous-sample cumulative state, for per-interval deltas.
-  std::map<std::string, stats::HistogramBuckets> last_hist_;
   std::vector<std::uint64_t> prev_shard_ops_;
   std::vector<stats::HistogramBuckets> last_shard_op_hist_;
-  // Scratch rebuilt each sample: shard counters summed by name, and shard
-  // histogram buckets merged by name.
-  std::map<std::string, std::uint64_t> summed_;
-  std::map<std::string, stats::HistogramBuckets> merged_hist_;
+  // Resolved (source -> series id) slots (series_slots.h): shard counters
+  // summed by name, shard histograms merged by name, per-shard and derived
+  // series. `roles_` are counter slot indices the derived series read,
+  // `h2d_slots_` those of the per-class PCIe H2D byte counters, `op_hist_`
+  // the merged op-latency histogram's slot (-1 while absent).
+  SeriesSlots slots_;
+  CounterSlots counters_;
+  HistogramSlots hists_{/*lifetime=*/true};
+  std::array<std::int64_t, 3> roles_;
+  std::vector<std::int64_t> h2d_slots_;
+  std::int64_t op_hist_ = -1;
+  IndexedSeries<4> shard_ids_;
+  SeriesGroup<12> derived_ids_;
 
   SnapshotSink* sink_ = nullptr;
   attribution::AttributionPlane* attribution_ = nullptr;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/clock.h"
@@ -27,17 +28,17 @@ inline constexpr std::uint64_t kMilliScale = 1000;
 // table's lifetime, and assigned in first-appearance order.
 class SeriesTable {
  public:
-  std::uint32_t Intern(const std::string& name) {
+  std::uint32_t Intern(std::string_view name) {
     auto it = ids_.find(name);
     if (it != ids_.end()) return it->second;
     const std::uint32_t id = static_cast<std::uint32_t>(names_.size());
-    names_.push_back(name);
-    ids_.emplace(name, id);
+    names_.emplace_back(name);
+    ids_.emplace(names_.back(), id);
     return id;
   }
 
   // -1 when the series has never been interned.
-  std::int64_t Find(const std::string& name) const {
+  std::int64_t Find(std::string_view name) const {
     auto it = ids_.find(name);
     return it == ids_.end() ? -1 : static_cast<std::int64_t>(it->second);
   }
@@ -47,7 +48,8 @@ class SeriesTable {
 
  private:
   std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t> ids_;
+  // std::less<> enables find(string_view) without a temporary std::string.
+  std::map<std::string, std::uint32_t, std::less<>> ids_;
 };
 
 struct Sample {
@@ -61,8 +63,8 @@ struct Sample {
   // events this sample itself caused — watchdog alerts — sort after it.
   std::uint64_t events_before = 0;
 
-  // Sorted by series id (the sampler appends in interning order, which is
-  // ascending by construction; Value() relies on it).
+  // Ascending by series id: SeriesSlots::Finish emits them in id order, and
+  // Value() binary-searches on it.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> values;
 
   void Set(std::uint32_t series, std::uint64_t value) {

@@ -1,9 +1,10 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "lsm/lsm_tree.h"
 #include "telemetry/export.h"
@@ -12,55 +13,74 @@ namespace bandslim::telemetry {
 
 namespace {
 
-// Integer rate helpers. All quantities fit 64 bits comfortably: deltas are
-// bounded by bytes-per-interval (<= GB) and intervals by the run length, so
-// the largest intermediate (delta * 1e12) stays under 2^63 for any workload
-// the benches run.
-std::uint64_t PerSecond(std::uint64_t delta, sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns;
-}
+// Registry counters the derived series read, by role.
+enum CounterRole : std::size_t {
+  kOps,
+  kValueBytes,
+  kPagesProgrammed,
+  kTimeouts,
+  kRetries,
+  kProgramFailures,
+  kEccCorrections,
+  kMemtableStalls,
+  kCompactions,
+  kCompactionBytes,
+  kNumRoles,
+};
+constexpr const char* kRoleCounters[kNumRoles] = {
+    "nvme.commands_submitted", "controller.value_bytes_written",
+    "nand.pages_programmed",   "nvme.timeouts",
+    "nvme.retries",            "nand.program_failures",
+    "nand.ecc_corrections",    "lsm.memtable_stalls",
+    "lsm.compactions",         "lsm.compaction_bytes_written"};
 
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
-
-// Histogram "trace.op.put.latency_ns" yields percentile series
-// "trace.op.put.p50" etc.; a bare "..._ns" histogram just drops the unit
-// suffix.
-std::string PercentileBase(const std::string& hist_name) {
-  static constexpr char kLatencySuffix[] = ".latency_ns";
-  static constexpr char kNsSuffix[] = "_ns";
-  if (hist_name.size() > sizeof(kLatencySuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kLatencySuffix) - 1),
-                        sizeof(kLatencySuffix) - 1, kLatencySuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kLatencySuffix) - 1));
-  }
-  if (hist_name.size() > sizeof(kNsSuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kNsSuffix) - 1),
-                        sizeof(kNsSuffix) - 1, kNsSuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kNsSuffix) - 1));
-  }
-  return hist_name;
-}
-
-const char* PcieClassName(pcie::TrafficClass cls) {
-  switch (cls) {
-    case pcie::TrafficClass::kMmio: return "mmio";
-    case pcie::TrafficClass::kCommandFetch: return "cmd_fetch";
-    case pcie::TrafficClass::kDmaData: return "dma_data";
-    case pcie::TrafficClass::kCompletion: return "completion";
-  }
-  return "?";
-}
+// Fixed series families, each listed in the order TakeSample emits it.
+constexpr const char* kPcieSeries[] = {
+    "pcie.h2d_bytes",
+    "pcie.d2h_bytes",
+    "pcie.mmio.h2d_txns",
+    "rate.pcie.mmio.h2d_bytes_per_sec",
+    "pcie.cmd_fetch.h2d_txns",
+    "rate.pcie.cmd_fetch.h2d_bytes_per_sec",
+    "pcie.dma_data.h2d_txns",
+    "rate.pcie.dma_data.h2d_bytes_per_sec",
+    "pcie.completion.h2d_txns",
+    "rate.pcie.completion.h2d_bytes_per_sec"};
+// The registry's per-class H2D byte mirrors, in TrafficClass order.
+constexpr const char* kPcieClassBytes[] = {
+    "pcie.mmio.h2d_bytes", "pcie.cmd_fetch.h2d_bytes",
+    "pcie.dma_data.h2d_bytes", "pcie.completion.h2d_bytes"};
+constexpr const char* kFtlSeries[] = {
+    "gauge.ftl.free_blocks", "gauge.ftl.reserve_blocks",
+    "gauge.ftl.bad_blocks", "gauge.ftl.mapped_pages", "ftl.gc_runs"};
+constexpr const char* kBufferSeries[] = {
+    "gauge.buffer.wp", "gauge.buffer.window_base",
+    "gauge.buffer.resident_bytes", "gauge.buffer.dma_frontier",
+    "gauge.buffer.dlt_pending"};
+constexpr const char* kLsmSeries[] = {
+    "gauge.lsm.memtable_bytes",        "gauge.lsm.memtable_entries",
+    "gauge.lsm.pending_trim_tables",   "gauge.lsm.compaction_debt_bytes",
+    "gauge.lsm.flush_in_progress",     "gauge.lsm.compaction_in_progress"};
+constexpr const char* kDerivedSeries[] = {
+    "delta.ops",
+    "delta.pcie.h2d_bytes",
+    "delta.pcie.d2h_bytes",
+    "delta.value_bytes",
+    "delta.nand.pages_programmed",
+    "delta.nvme.timeouts",
+    "delta.nvme.retries",
+    "delta.nand.program_failures",
+    "delta.nand.ecc_corrections",
+    "delta.lsm.memtable_stalls",
+    "delta.lsm.compactions",
+    "delta.lsm.compaction_bytes_written",
+    "rate.ops_per_sec_milli",
+    "rate.pcie.h2d_bytes_per_sec",
+    "rate.pcie.d2h_bytes_per_sec",
+    "rate.taf_milli",
+    "rate.waf_milli",
+    "total.taf_milli",
+    "total.waf_milli"};
 
 }  // namespace
 
@@ -68,10 +88,18 @@ Sampler::Sampler(const sim::VirtualClock* clock, const TelemetryConfig& config)
     : clock_(clock),
       config_(config),
       event_log_(clock, config.event_capacity),
-      watchdog_(config.rules) {}
+      watchdog_(config.rules) {
+  static_assert(std::tuple_size_v<decltype(roles_)> == kNumRoles);
+  roles_.fill(-1);
+  pcie_class_bytes_.fill(-1);
+}
 
 void Sampler::Bind(const Sources& sources) {
   src_ = sources;
+  std::vector<const stats::MetricsRegistry*> registries;
+  if (sources.metrics != nullptr) registries.push_back(sources.metrics);
+  counters_.Bind(registries);
+  hists_.Bind(std::move(registries));
   if (!anchored_) {
     anchored_ = true;
     anchor_ns_ = clock_->Now();
@@ -119,7 +147,7 @@ void Sampler::Finalize() {
 
 std::uint64_t Sampler::Latest(const std::string& name) const {
   if (samples_.empty()) return 0;
-  const std::int64_t id = series_.Find(name);
+  const std::int64_t id = slots_.table().Find(name);
   if (id < 0) return 0;
   return samples_.back().Value(static_cast<std::uint32_t>(id));
 }
@@ -129,218 +157,169 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
   s.t_ns = stamp;
   s.interval_ns = stamp - last_sample_ns_;
   s.seq = next_seq_++;
-  const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
-  // Reads a cumulative series' value at the previous sample (0 before the
-  // first one), for delta derivation.
-  const auto prev_of = [&](std::uint32_t id) -> std::uint64_t {
-    return prev == nullptr ? 0 : prev->Value(id);
-  };
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s.Set(series_.Intern(name), value);
-  };
-  // Interns a cumulative series, records its current value, and returns the
-  // per-interval delta.
-  const auto cumulative = [&](const std::string& name,
-                              std::uint64_t value) -> std::uint64_t {
-    const std::uint32_t id = series_.Intern(name);
-    s.Set(id, value);
-    return value - prev_of(id);
-  };
+  slots_.Begin();
 
   // --- Metrics registry: every named counter, verbatim -------------------
-  std::uint64_t cum_ops = 0, cum_value_bytes = 0, cum_pages = 0;
-  std::uint64_t cum_timeouts = 0, cum_retries = 0, cum_prog_fail = 0,
-                cum_ecc = 0;
-  std::uint64_t d_ops = 0, d_value_bytes = 0, d_pages = 0, d_timeouts = 0,
-                d_retries = 0, d_prog_fail = 0, d_ecc = 0;
-  std::uint64_t d_stalls = 0, d_compactions = 0, d_comp_bytes = 0;
-  if (src_.metrics != nullptr) {
-    for (const auto& [name, value] : src_.metrics->SnapshotCounters()) {
-      const std::uint64_t delta = cumulative(name, value);
-      if (name == "nvme.commands_submitted") {
-        cum_ops = value;
-        d_ops = delta;
-      } else if (name == "controller.value_bytes_written") {
-        cum_value_bytes = value;
-        d_value_bytes = delta;
-      } else if (name == "nand.pages_programmed") {
-        cum_pages = value;
-        d_pages = delta;
-      } else if (name == "nvme.timeouts") {
-        cum_timeouts = value;
-        d_timeouts = delta;
-      } else if (name == "nvme.retries") {
-        cum_retries = value;
-        d_retries = delta;
-      } else if (name == "nand.program_failures") {
-        cum_prog_fail = value;
-        d_prog_fail = delta;
-      } else if (name == "nand.ecc_corrections") {
-        cum_ecc = value;
-        d_ecc = delta;
-      } else if (name == "lsm.memtable_stalls") {
-        d_stalls = delta;
-      } else if (name == "lsm.compactions") {
-        d_compactions = delta;
-      } else if (name == "lsm.compaction_bytes_written") {
-        d_comp_bytes = delta;
-      }
+  if (counters_.Refresh(&slots_)) {
+    for (std::size_t r = 0; r < kNumRoles; ++r) {
+      roles_[r] = counters_.IndexOf(kRoleCounters[r]);
+    }
+    for (int c = 0; c < pcie::kNumTrafficClasses; ++c) {
+      pcie_class_bytes_[static_cast<std::size_t>(c)] =
+          slots_.table().Find(kPcieClassBytes[c]);
     }
   }
+  counters_.Sample(&slots_);
+  const auto delta_of = [&](CounterRole r) {
+    return counters_.delta(roles_[r]);
+  };
 
   // --- PCIe link: direction totals and per-class transaction counts ------
-  std::uint64_t cum_h2d = 0, cum_d2h = 0, d_h2d = 0, d_d2h = 0;
+  std::uint64_t cum_h2d = 0, d_h2d = 0, d_d2h = 0;
   if (src_.link != nullptr) {
+    pcie_ids_.Resolve(&slots_, kPcieSeries);
     cum_h2d = src_.link->HostToDeviceBytes();
-    cum_d2h = src_.link->DeviceToHostBytes();
-    d_h2d = cumulative("pcie.h2d_bytes", cum_h2d);
-    d_d2h = cumulative("pcie.d2h_bytes", cum_d2h);
+    d_h2d = slots_.Cumulative(pcie_ids_[0], cum_h2d);
+    d_d2h = slots_.Cumulative(pcie_ids_[1], src_.link->DeviceToHostBytes());
     for (int c = 0; c < pcie::kNumTrafficClasses; ++c) {
       const auto cls = static_cast<pcie::TrafficClass>(c);
-      const std::string base = std::string("pcie.") + PcieClassName(cls);
-      cumulative(base + ".h2d_txns",
-                 src_.link->TransactionsOf(cls,
-                                           pcie::Direction::kHostToDevice));
+      const std::size_t k = 2 + 2 * static_cast<std::size_t>(c);
+      slots_.Cumulative(
+          pcie_ids_[k],
+          src_.link->TransactionsOf(cls, pcie::Direction::kHostToDevice));
       // Per-class byte rates: the cumulative series is the registry mirror
-      // snapshotted above; the current value comes straight from the link
+      // recorded above; the current value comes straight from the link
       // (identical by construction).
       const std::uint64_t cls_bytes =
           src_.link->BytesOf(cls, pcie::Direction::kHostToDevice);
-      const std::int64_t id = series_.Find(base + ".h2d_bytes");
+      const std::int64_t id = pcie_class_bytes_[static_cast<std::size_t>(c)];
       const std::uint64_t prev_bytes =
-          id < 0 ? 0 : prev_of(static_cast<std::uint32_t>(id));
-      set("rate." + base + ".h2d_bytes_per_sec",
-          PerSecond(cls_bytes - prev_bytes, s.interval_ns));
+          id < 0 ? 0 : slots_.Previous(static_cast<std::uint32_t>(id));
+      slots_.Set(pcie_ids_[k + 1],
+                 PerSecond(cls_bytes - prev_bytes, s.interval_ns));
     }
   }
 
   // --- NVMe queues --------------------------------------------------------
   if (src_.transport != nullptr) {
-    for (const auto& q : src_.transport->QueueInfos()) {
-      const std::string base = "queue" + std::to_string(q.queue_id);
-      set("gauge." + base + ".depth", q.depth);
-      set("gauge." + base + ".inflight", q.inflight);
-      cumulative(base + ".submitted", q.submitted);
+    const std::size_t queues = src_.transport->num_queue_pairs();
+    queue_ids_.Resolve(&slots_, queues, [](std::size_t q, std::size_t k) {
+      static constexpr const char* kSuffix[] = {".depth", ".inflight",
+                                                ".submitted"};
+      return (k < 2 ? "gauge.queue" : "queue") + std::to_string(q) + kSuffix[k];
+    });
+    for (std::size_t q = 0; q < queues; ++q) {
+      const nvme::NvmeTransport::QueueInfo info =
+          src_.transport->QueueInfoAt(static_cast<std::uint16_t>(q));
+      slots_.Set(queue_ids_[q][0], info.depth);
+      slots_.Set(queue_ids_[q][1], info.inflight);
+      slots_.Cumulative(queue_ids_[q][2], info.submitted);
     }
   }
 
   // --- NAND channel/way busy time ----------------------------------------
   if (src_.nand != nullptr) {
     const nand::NandGeometry& g = src_.nand->geometry();
+    channel_ids_.Resolve(&slots_, g.channels, [](std::size_t c, std::size_t k) {
+      return (k == 0 ? "nand.ch" : "gauge.nand.ch") + std::to_string(c) +
+             (k == 0 ? ".busy_ns" : ".busy_permille");
+    });
     for (std::uint32_t c = 0; c < g.channels; ++c) {
-      const std::uint64_t d_busy = cumulative(
-          "nand.ch" + std::to_string(c) + ".busy_ns",
+      const std::uint64_t d_busy = slots_.Cumulative(
+          channel_ids_[c][0],
           static_cast<std::uint64_t>(src_.nand->channel_busy_ns(c)));
-      set("gauge.nand.ch" + std::to_string(c) + ".busy_permille",
-          s.interval_ns == 0 ? 0 : d_busy * kMilliScale / s.interval_ns);
+      slots_.Set(channel_ids_[c][1],
+                 s.interval_ns == 0 ? 0 : d_busy * kMilliScale / s.interval_ns);
     }
+    die_ids_.Resolve(&slots_, g.dies(), [](std::size_t d, std::size_t) {
+      return "nand.die" + std::to_string(d) + ".busy_ns";
+    });
     for (std::uint64_t d = 0; d < g.dies(); ++d) {
-      cumulative("nand.die" + std::to_string(d) + ".busy_ns",
-                 static_cast<std::uint64_t>(src_.nand->die_busy_ns(d)));
+      slots_.Cumulative(die_ids_[d][0],
+                        static_cast<std::uint64_t>(src_.nand->die_busy_ns(d)));
     }
   }
 
   // --- FTL block accounting and GC activity ------------------------------
   if (src_.ftl != nullptr) {
-    set("gauge.ftl.free_blocks", src_.ftl->free_blocks());
-    set("gauge.ftl.reserve_blocks", src_.ftl->reserve_remaining());
-    set("gauge.ftl.bad_blocks", src_.ftl->bad_blocks());
-    set("gauge.ftl.mapped_pages", src_.ftl->mapped_pages());
-    cumulative("ftl.gc_runs", src_.ftl->gc_runs());
+    ftl_ids_.Resolve(&slots_, kFtlSeries);
+    slots_.Set(ftl_ids_[0], src_.ftl->free_blocks());
+    slots_.Set(ftl_ids_[1], src_.ftl->reserve_remaining());
+    slots_.Set(ftl_ids_[2], src_.ftl->bad_blocks());
+    slots_.Set(ftl_ids_[3], src_.ftl->mapped_pages());
+    slots_.Cumulative(ftl_ids_[4], src_.ftl->gc_runs());
   }
 
   // --- Page buffer window -------------------------------------------------
   if (src_.buffer != nullptr) {
-    set("gauge.buffer.wp", src_.buffer->wp());
-    set("gauge.buffer.window_base", src_.buffer->window_base_addr());
-    set("gauge.buffer.resident_bytes",
-        src_.buffer->wp() - src_.buffer->window_base_addr());
-    set("gauge.buffer.dma_frontier", src_.buffer->dma_frontier());
-    set("gauge.buffer.dlt_pending", src_.buffer->dlt().size());
+    buffer_ids_.Resolve(&slots_, kBufferSeries);
+    slots_.Set(buffer_ids_[0], src_.buffer->wp());
+    slots_.Set(buffer_ids_[1], src_.buffer->window_base_addr());
+    slots_.Set(buffer_ids_[2],
+               src_.buffer->wp() - src_.buffer->window_base_addr());
+    slots_.Set(buffer_ids_[3], src_.buffer->dma_frontier());
+    slots_.Set(buffer_ids_[4], src_.buffer->dlt().size());
   }
 
   // --- LSM / compaction state ---------------------------------------------
   if (src_.lsm != nullptr) {
-    set("gauge.lsm.memtable_bytes", src_.lsm->memtable_bytes());
-    set("gauge.lsm.memtable_entries", src_.lsm->memtable_entries());
-    set("gauge.lsm.pending_trim_tables", src_.lsm->pending_trim_tables());
-    set("gauge.lsm.compaction_debt_bytes", src_.lsm->CompactionDebtBytes());
-    set("gauge.lsm.flush_in_progress", src_.lsm->flush_in_progress() ? 1 : 0);
-    set("gauge.lsm.compaction_in_progress",
-        src_.lsm->compaction_in_progress() ? 1 : 0);
-    for (int l = 0; l < src_.lsm->level_count(); ++l) {
-      const std::string base = "gauge.lsm.l" + std::to_string(l);
-      set(base + ".tables", src_.lsm->TableCount(l));
-      set(base + ".bytes", src_.lsm->LevelBytes(l));
+    lsm_ids_.Resolve(&slots_, kLsmSeries);
+    slots_.Set(lsm_ids_[0], src_.lsm->memtable_bytes());
+    slots_.Set(lsm_ids_[1], src_.lsm->memtable_entries());
+    slots_.Set(lsm_ids_[2], src_.lsm->pending_trim_tables());
+    slots_.Set(lsm_ids_[3], src_.lsm->CompactionDebtBytes());
+    slots_.Set(lsm_ids_[4], src_.lsm->flush_in_progress() ? 1 : 0);
+    slots_.Set(lsm_ids_[5], src_.lsm->compaction_in_progress() ? 1 : 0);
+    const auto levels = static_cast<std::size_t>(src_.lsm->level_count());
+    level_ids_.Resolve(&slots_, levels, [](std::size_t l, std::size_t k) {
+      return "gauge.lsm.l" + std::to_string(l) +
+             (k == 0 ? ".tables" : ".bytes");
+    });
+    for (std::size_t l = 0; l < levels; ++l) {
+      slots_.Set(level_ids_[l][0], src_.lsm->TableCount(static_cast<int>(l)));
+      slots_.Set(level_ids_[l][1], src_.lsm->LevelBytes(static_cast<int>(l)));
     }
   }
 
   // --- Per-interval histogram percentiles ---------------------------------
-  // Only histograms that have ever recorded a value emit series (the tracer
-  // registers its full taxonomy up front; exports stay compact when tracing
-  // is off). An interval with no recordings emits zeros consistently —
+  // Only histograms that have ever recorded a value emit series; an
+  // interval with no recordings emits zeros consistently —
   // QuantileFromBuckets is 0 on an all-zero delta.
-  if (src_.metrics != nullptr) {
-    for (const auto& [name, cur] : src_.metrics->SnapshotHistogramBuckets()) {
-      if (cur.count == 0) continue;
-      stats::HistogramBuckets& last = last_hist_[name];
-      stats::Histogram::BucketArray delta{};
-      for (int i = 0; i < stats::Histogram::kNumBuckets; ++i) {
-        delta[static_cast<std::size_t>(i)] =
-            cur.buckets[static_cast<std::size_t>(i)] -
-            last.buckets[static_cast<std::size_t>(i)];
-      }
-      const std::uint64_t d_count = cur.count - last.count;
-      const std::uint64_t d_sum = cur.sum - last.sum;
-      const std::string base = PercentileBase(name);
-      set("hist." + base + ".count", cur.count);
-      set("delta." + base + ".count", d_count);
-      set("delta." + base + ".sum", d_sum);
-      set(base + ".p50",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-      set(base + ".p95",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-      set(base + ".p99",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-      last = cur;
-    }
-  }
+  hists_.Sample(&slots_);
 
   // --- Per-interval deltas and fixed-point rates --------------------------
-  set("delta.ops", d_ops);
-  set("delta.pcie.h2d_bytes", d_h2d);
-  set("delta.pcie.d2h_bytes", d_d2h);
-  set("delta.value_bytes", d_value_bytes);
-  set("delta.nand.pages_programmed", d_pages);
-  set("delta.nvme.timeouts", d_timeouts);
-  set("delta.nvme.retries", d_retries);
-  set("delta.nand.program_failures", d_prog_fail);
-  set("delta.nand.ecc_corrections", d_ecc);
-  set("delta.lsm.memtable_stalls", d_stalls);
-  set("delta.lsm.compactions", d_compactions);
-  set("delta.lsm.compaction_bytes_written", d_comp_bytes);
-
-  set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, s.interval_ns));
-  set("rate.pcie.h2d_bytes_per_sec", PerSecond(d_h2d, s.interval_ns));
-  set("rate.pcie.d2h_bytes_per_sec", PerSecond(d_d2h, s.interval_ns));
-  set("rate.taf_milli", RatioMilli(d_h2d, d_value_bytes));
+  derived_ids_.Resolve(&slots_, kDerivedSeries);
+  const std::uint64_t d_ops = delta_of(kOps);
+  const std::uint64_t d_value_bytes = delta_of(kValueBytes);
+  const std::uint64_t d_pages = delta_of(kPagesProgrammed);
+  const std::uint64_t deltas[] = {d_ops,
+                                  d_h2d,
+                                  d_d2h,
+                                  d_value_bytes,
+                                  d_pages,
+                                  delta_of(kTimeouts),
+                                  delta_of(kRetries),
+                                  delta_of(kProgramFailures),
+                                  delta_of(kEccCorrections),
+                                  delta_of(kMemtableStalls),
+                                  delta_of(kCompactions),
+                                  delta_of(kCompactionBytes)};
+  std::size_t k = 0;
+  for (const std::uint64_t d : deltas) slots_.Set(derived_ids_[k++], d);
   const std::size_t page_size =
       src_.nand != nullptr ? src_.nand->geometry().page_size : kNandPageSize;
-  set("rate.waf_milli", RatioMilli(d_pages * page_size, d_value_bytes));
-  set("total.taf_milli", RatioMilli(cum_h2d, cum_value_bytes));
-  set("total.waf_milli", RatioMilli(cum_pages * page_size, cum_value_bytes));
-  (void)cum_ops;
-  (void)cum_d2h;
-  (void)cum_timeouts;
-  (void)cum_retries;
-  (void)cum_prog_fail;
-  (void)cum_ecc;
+  const std::uint64_t cum_value_bytes = counters_.value(roles_[kValueBytes]);
+  const std::uint64_t cum_pages = counters_.value(roles_[kPagesProgrammed]);
+  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, s.interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecond(d_h2d, s.interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecond(d_d2h, s.interval_ns));
+  slots_.Set(derived_ids_[k++], RatioMilli(d_h2d, d_value_bytes));
+  slots_.Set(derived_ids_[k++], RatioMilli(d_pages * page_size, d_value_bytes));
+  slots_.Set(derived_ids_[k++], RatioMilli(cum_h2d, cum_value_bytes));
+  slots_.Set(derived_ids_[k++],
+             RatioMilli(cum_pages * page_size, cum_value_bytes));
 
-  // Series ids are assigned in first-appearance order; a counter created
-  // mid-run lands mid-snapshot with a high id, so restore id order for
-  // Sample::Value()'s binary search.
-  std::sort(s.values.begin(), s.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  slots_.Finish(&s);
 
   // Events emitted from here on (watchdog alerts) belong *after* this
   // sample in the timeline; the exporters use this to break timestamp ties.
@@ -352,7 +331,7 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
     ++dropped_samples_;
   }
   samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), series_, &event_log_);
+  watchdog_.Evaluate(samples_.back(), slots_.table(), &event_log_);
 
   // Control tick: the observer sees the finalized sample plus this
   // interval's watchdog edges, and may actuate device knobs. Any clock time

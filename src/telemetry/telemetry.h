@@ -1,12 +1,14 @@
 // Continuous telemetry: a deterministic, virtual-time periodic sampler over
 // the assembled device (DESIGN.md 2.4). Every `sample_interval_ns` of
-// simulated time the sampler snapshots the metrics registry plus live
+// simulated time the sampler reads the metrics registry plus live
 // component state — PCIe per-class byte/transaction counters, NAND
 // per-channel/way busy time, FTL block accounting and GC activity, per-queue
 // depth/inflight, page-buffer window occupancy, fault/retry/timeout
 // counters — and derives per-interval deltas and fixed-point rate gauges
 // (bytes/s, ops/s in milli-units, instantaneous TAF/WAF x1000), so the
-// paper's rates-over-time curves can be produced from one run.
+// paper's rates-over-time curves can be produced from one run. Every source
+// is resolved to its series id once (telemetry/series_slots.h), so a
+// steady-state sample copies no registry and builds no series name.
 //
 // Determinism contract:
 //  * Sampling is driven by Poll() calls at deterministic points (end of each
@@ -21,9 +23,9 @@
 //    branch per Poll().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "stats/metrics.h"
 #include "telemetry/event_log.h"
 #include "telemetry/sample.h"
+#include "telemetry/series_slots.h"
 #include "telemetry/watchdog.h"
 
 namespace bandslim::lsm {
@@ -137,7 +140,7 @@ class Sampler {
   void Finalize();
 
   const std::deque<Sample>& samples() const { return samples_; }
-  const SeriesTable& series() const { return series_; }
+  const SeriesTable& series() const { return slots_.table(); }
   std::uint64_t samples_emitted() const { return next_seq_; }
   std::uint64_t dropped_samples() const { return dropped_samples_; }
 
@@ -173,13 +176,27 @@ class Sampler {
   Sources src_;
   EventLog event_log_;
   Watchdog watchdog_;
-  SeriesTable series_;
 
   std::deque<Sample> samples_;
-  // Cumulative bucket contents of every active histogram at the previous
-  // sample; the difference against the current registry state is the
-  // interval histogram the percentile series are computed from.
-  std::map<std::string, stats::HistogramBuckets> last_hist_;
+  // Resolved (source -> series id) slots, in the order TakeSample first
+  // emits them (series_slots.h). `roles_` are the slot indices of the
+  // counters the derived series read (-1 while a counter does not exist);
+  // `pcie_class_bytes_` the ids of the registry's per-class H2D byte
+  // mirrors the class rates difference against (-1 until interned).
+  SeriesSlots slots_;
+  CounterSlots counters_;
+  HistogramSlots hists_{/*lifetime=*/false};
+  std::array<std::int64_t, 10> roles_;
+  std::array<std::int64_t, pcie::kNumTrafficClasses> pcie_class_bytes_;
+  SeriesGroup<2 + 2 * pcie::kNumTrafficClasses> pcie_ids_;
+  IndexedSeries<3> queue_ids_;
+  IndexedSeries<2> channel_ids_;
+  IndexedSeries<1> die_ids_;
+  SeriesGroup<5> ftl_ids_;
+  SeriesGroup<5> buffer_ids_;
+  SeriesGroup<6> lsm_ids_;
+  IndexedSeries<2> level_ids_;
+  SeriesGroup<19> derived_ids_;
   SnapshotSink* sink_ = nullptr;
   SampleObserver* observer_ = nullptr;
   std::uint64_t last_published_seq_ = ~0ULL;

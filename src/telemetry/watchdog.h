@@ -106,9 +106,15 @@ struct AlertState {
 class Watchdog {
  public:
   explicit Watchdog(std::vector<WatchdogRule> rules)
-      : rules_(std::move(rules)), states_(rules_.size()) {}
+      : rules_(std::move(rules)),
+        states_(rules_.size()),
+        series_ids_(rules_.size(), -1) {}
 
   // Evaluates every rule against `sample`; fires append to `log` (optional).
+  // A watchdog is bound to the one plane that owns it, so `table` must be
+  // the same table on every call: each rule's series id is looked up until
+  // the series is first interned (only when the table has grown since the
+  // last look) and cached from then on.
   void Evaluate(const Sample& sample, const SeriesTable& table,
                 EventLog* log);
 
@@ -124,6 +130,9 @@ class Watchdog {
  private:
   std::vector<WatchdogRule> rules_;
   std::vector<AlertState> states_;
+  // Series id per rule; -1 until the series is first interned.
+  std::vector<std::int64_t> series_ids_;
+  std::size_t table_size_seen_ = 0;  // Table size at the last lookup.
   std::uint64_t total_fired_ = 0;
   std::uint64_t total_cleared_ = 0;
 };

@@ -36,6 +36,18 @@ std::uint64_t V(const SeriesTable& table, const Sample& s,
   return id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id));
 }
 
+// Folds one fleet sample's attribution series the way
+// FleetAggregator::TakeSample does, over a 1 ms interval.
+Sample Fold(AttributionPlane& plane, SeriesSlots* slots,
+            const AttributionPlane::FleetTotals& totals) {
+  Sample s;
+  s.interval_ns = sim::kMillisecond;
+  slots->Begin();
+  plane.OnFleetSample(s.interval_ns, slots, totals);
+  slots->Finish(&s);
+  return s;
+}
+
 std::uint64_t FleetValue(const FleetAggregator& fleet, const Sample& s,
                          const std::string& name) {
   return V(fleet.series(), s, name);
@@ -74,11 +86,10 @@ TEST(AttributionPlaneTest, SloLedgerHandComputed) {
   EXPECT_EQ(t.requested_bytes, 64u);
   EXPECT_EQ(plane.tenant_latency(0).count(), 5u);
 
-  SeriesTable table;
+  SeriesSlots slots;
+  const SeriesTable& table = slots.table();
   AttributionPlane::FleetTotals totals;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  const Sample s1 = Fold(plane, &slots, totals);
 
   // Burn = bad-share / allowed-share x1000: 3 bad of 5 ops = 600 permille
   // bad over a 10-permille allowance -> 60000 milli on both windows; the
@@ -98,18 +109,14 @@ TEST(AttributionPlaneTest, SloLedgerHandComputed) {
   // A quiet interval: the fast window (1 interval) empties and reads 0, the
   // slow window (2 intervals) still holds the bad burst; lifetime budget
   // spend does not decay.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
+  const Sample s2 = Fold(plane, &slots, totals);
   EXPECT_EQ(V(table, s2, "tenant0.slo.delta.bad"), 0u);
   EXPECT_EQ(V(table, s2, "tenant0.slo.burn_fast_milli"), 0u);
   EXPECT_EQ(V(table, s2, "tenant0.slo.burn_slow_milli"), 60000u);
   EXPECT_EQ(V(table, s2, "tenant0.slo.budget_spent_permille"), 60000u);
 
   // One more quiet interval rolls the burst out of the slow window too.
-  Sample s3;
-  s3.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s3, &table, totals);
+  const Sample s3 = Fold(plane, &slots, totals);
   EXPECT_EQ(V(table, s3, "tenant0.slo.burn_slow_milli"), 0u);
   EXPECT_EQ(V(table, s3, "tenant0.slo.budget_spent_permille"), 60000u);
 }
@@ -146,15 +153,14 @@ TEST(AttributionPlaneTest, ChargeBracketingAndUntaggedResidual) {
   EXPECT_EQ(t.pcie_h2d_bytes, 40u);
   EXPECT_EQ(t.nand_pages, 2u);
 
-  SeriesTable table;
+  SeriesSlots slots;
+  const SeriesTable& table = slots.table();
   AttributionPlane::FleetTotals totals;
   totals.ops = 8;
   totals.value_bytes = 107;
   totals.pcie_h2d_bytes = 40;
   totals.nand_pages = 2;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  const Sample s1 = Fold(plane, &slots, totals);
 
   EXPECT_EQ(plane.untagged().dev_ops, 5u);
   EXPECT_EQ(plane.untagged().value_bytes, 7u);
@@ -166,9 +172,7 @@ TEST(AttributionPlaneTest, ChargeBracketingAndUntaggedResidual) {
   EXPECT_EQ(V(table, s1, "untagged.delta.value_bytes"), 7u);
 
   // No traffic since: cumulatives hold, every delta reads 0.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
+  const Sample s2 = Fold(plane, &slots, totals);
   EXPECT_EQ(V(table, s2, "tenant0.dev.ops"), 3u);
   EXPECT_EQ(V(table, s2, "tenant0.delta.dev.ops"), 0u);
   EXPECT_EQ(V(table, s2, "untagged.delta.dev.ops"), 0u);
@@ -189,11 +193,10 @@ TEST(AttributionPlaneTest, HeatSharesComputeBeforeDecay) {
   plane.TouchKey(0);
   plane.TouchKey(0);
 
-  SeriesTable table;
+  SeriesSlots slots;
+  const SeriesTable& table = slots.table();
   AttributionPlane::FleetTotals totals;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  const Sample s1 = Fold(plane, &slots, totals);
   // Shares are computed on the PRE-decay weights (8 of 10 in bucket 3),
   // then every bucket keeps 500 permille.
   EXPECT_EQ(V(table, s1, "heat.touches"), 10u);
@@ -205,9 +208,7 @@ TEST(AttributionPlaneTest, HeatSharesComputeBeforeDecay) {
 
   // No touches: the trailing-window gauge decays toward zero but the share
   // stays pinned on the same hot range until it fully evaporates.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
+  const Sample s2 = Fold(plane, &slots, totals);
   EXPECT_EQ(V(table, s2, "heat.touches"), 10u);  // Lifetime, no decay.
   EXPECT_EQ(V(table, s2, "heat.weight"), 5u);
   EXPECT_EQ(V(table, s2, "heat.max_share_permille"), 800u);

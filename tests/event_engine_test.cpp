@@ -20,7 +20,9 @@
 #include "common/types.h"
 #include "core/kvssd.h"
 #include "sim/event_engine.h"
+#include "telemetry/attribution/attribution.h"
 #include "telemetry/fleet.h"
+#include "telemetry/telemetry.h"
 
 // --- Counting allocator ------------------------------------------------------
 // Every operator-new in the process bumps g_heap_allocs. The strict
@@ -375,6 +377,102 @@ TEST(SteadyStateAllocationTest, ClusterInspectIntoAllocatesNothingAfterWarmup) {
   EXPECT_EQ(snap.alerts.size(), 2u);
   EXPECT_EQ(snap.alerts[0].rule, "shard_imbalance");
   EXPECT_FALSE(snap.shards[0].counters.empty());
+}
+
+// Sampling contract for the observation planes: every plane resolves its
+// series once (telemetry/series_slots.h), so a steady-state sample reads the
+// live counters and stores them by id. What a sample still allocates is its
+// own `values` vector plus the amortized growth of the sample and event
+// rings — at most two allocations per sample emitted, counting the four
+// device samplers and the fleet sample the attribution plane folds into.
+TEST(SteadyStateAllocationTest, ObservedClusterAllocatesAtMostTwicePerSample) {
+  cluster::ClusterConfig cc;
+  cc.num_shards = 4;
+  cc.shard.geometry.channels = 2;
+  cc.shard.geometry.ways = 2;
+  cc.shard.geometry.blocks_per_die = 256;
+  cc.shard.geometry.pages_per_block = 32;
+  cc.shard.buffer.num_entries = 32;
+  cc.shard.buffer.dlt_entries = 32;
+  cc.shard.telemetry.enabled = true;
+  cc.shard.telemetry.sample_interval_ns = 20 * sim::kMicrosecond;
+  cc.shard.telemetry.rules = {
+      telemetry::ZeroOpStallRule(10),
+      telemetry::TafBudgetRule(/*taf_milli=*/8000, /*n=*/4),
+      telemetry::RetryStormRule(/*retries=*/1, /*n=*/1),
+      telemetry::FreeBlocksLowRule(/*blocks=*/16, /*n=*/4),
+      telemetry::CompactionDebtRule(/*budget_bytes=*/2048, /*n=*/1),
+      telemetry::L0PileupRule(/*tables=*/4, /*n=*/1),
+      telemetry::MemtableStallRule(/*stalls=*/1, /*n=*/1)};
+  cc.tenants.resize(2);
+  cc.tenants[0].name = "t0";
+  cc.tenants[0].queue_id = 0;
+  cc.tenants[1].name = "t1";
+  cc.tenants[1].queue_id = 1;
+  cc.fleet.enabled = true;
+  cc.fleet.sample_interval_ns = 20 * sim::kMicrosecond;
+  cc.fleet.rules = {
+      telemetry::ShardImbalanceRule(/*ratio_milli=*/3000, /*n=*/3),
+      telemetry::HotShardP99SkewRule(/*ratio_milli=*/3000, /*n=*/3),
+      telemetry::RingSkewRule(/*skew_permille=*/500, /*n=*/3),
+      telemetry::StragglerShardRule(/*n=*/6),
+      telemetry::attribution::TenantBurnRateFastRule(0),
+      telemetry::attribution::TenantBurnRateSlowRule(0),
+      telemetry::attribution::TenantBurnRateFastRule(1),
+      telemetry::attribution::TenantBurnRateSlowRule(1),
+      telemetry::attribution::HotRangeRule(/*share_permille=*/300, /*n=*/2)};
+  cc.attribution.enabled = true;
+  cc.attribution.slo.resize(2);
+  for (auto& slo : cc.attribution.slo) {
+    slo.latency_target_ns = 200 * sim::kMicrosecond;
+  }
+  auto fleet = cluster::KvCluster::Open(cc).value();
+
+  // Keys stay within libstdc++'s small-string buffer: no per-op key allocs.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+  const Bytes value(96, 0xEF);
+  const ByteSpan vspan(value.data(), value.size());
+  Bytes got;
+  got.reserve(4096);
+  const auto run = [&](int ops) {
+    bool ok = true;
+    for (int i = 0; i < ops; ++i) {
+      KvStore& tenant = fleet->Tenant(static_cast<std::size_t>(i) & 1);
+      const std::string& key =
+          keys[static_cast<std::size_t>(i * 7) % keys.size()];
+      ok = ok && (i % 2 == 0 ? tenant.Put(key, vspan)
+                             : tenant.GetInto(key, &got))
+                     .ok();
+    }
+    return ok;
+  };
+  const auto samples = [&] {
+    std::uint64_t n = fleet->fleet().samples_emitted();
+    for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+      n += fleet->shard(s).telemetry().samples_emitted();
+    }
+    return n;
+  };
+
+  // Warm-up: every key exists, every series is interned, every scratch and
+  // pool holds its working capacity.
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(fleet->Tenant(0).Put(key, vspan).ok());
+  }
+  ASSERT_TRUE(run(2000));
+
+  const std::uint64_t samples_before = samples();
+  AllocCounter allocs;
+  const bool ok = run(2000);
+  const std::uint64_t delta = allocs.delta();
+  const std::uint64_t emitted = samples() - samples_before;
+  ASSERT_TRUE(ok);
+  ASSERT_GT(emitted, 500u) << "the window must span many samples";
+  if (kStrictAllocChecks) {
+    EXPECT_LE(delta, 2 * emitted)
+        << delta << " allocations over " << emitted << " samples";
+  }
 }
 
 }  // namespace
