@@ -284,15 +284,6 @@ void NvmeTransport::SubmitPipelined(std::uint16_t queue_id,
   }
 }
 
-std::vector<NvmeTransport::QueueInfo> NvmeTransport::QueueInfos() const {
-  std::vector<QueueInfo> infos;
-  infos.reserve(queues_.size());
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    infos.push_back(QueueInfoAt(static_cast<std::uint16_t>(q)));
-  }
-  return infos;
-}
-
 NvmeTransport::QueueInfo NvmeTransport::QueueInfoAt(
     std::uint16_t queue_id) const {
   QueueInfo info;

@@ -101,9 +101,8 @@ class NvmeTransport {
     std::uint64_t submitted = 0;
     std::uint64_t inflight = 0;
   };
-  std::vector<QueueInfo> QueueInfos() const;
   // Allocation-free per-queue access for reusable snapshots
-  // (KvSsd::InspectDeviceInto).
+  // (KvSsd::InspectDeviceInto) and the telemetry sampler.
   std::size_t num_queue_pairs() const { return queues_.size(); }
   QueueInfo QueueInfoAt(std::uint16_t queue_id) const;
 
