@@ -3,11 +3,12 @@
 #   1. Release           — the configuration the benches and figures use.
 #   2. Debug + ASan/UBSan — assertions on (the clock-overflow and CID-reuse
 #      checks live behind assert) and memory/UB errors fatal.
-# Usage: ci/verify.sh [build-dir-prefix]   (default: build-ci)
+# Usage: ci/verify.sh [build-dir-prefix]      configure, build, test and gate
+#                                             both legs (default: build-ci)
+#        ci/verify.sh --gates LEG BUILD_DIR   run one leg's gates (release or
+#                                             asan-ubsan) on an existing build
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-prefix="${1:-build-ci}"
 
 run_pass() {
   local name="$1" build_dir="$2"
@@ -18,8 +19,9 @@ run_pass() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
-# Fault campaign under the sanitized build: nonzero failure rates drive the
-# bad-block remap, retry, and ECC paths that a clean run never enters.
+# Fault campaign: nonzero failure rates drive the bad-block remap, retry, and
+# ECC paths that a clean run never enters; under ASan/UBSan this doubles as a
+# memory check of the fault-handling code.
 fault_campaign() {
   local build_dir="$1"
   echo "=== verify pass: fault campaign (${build_dir}) ==="
@@ -47,270 +49,156 @@ trace_export() {
   fi
 }
 
-# Telemetry timeline: the bench itself enforces the hard invariants
-# (telescoped per-interval deltas == final counters, histogram deltas
-# telescoping to the lifetime percentile pipeline, double-run byte-identical
-# exports, in-process scrape == file export, watchdog firing under the drop
-# and compaction storms and silent on the clean run) and exits nonzero on
-# violation; here we additionally scrape the live HTTP endpoint from a real
-# external client (curl) and validate the exported formats — Prometheus text
-# exposition via promtool when installed (falling back to a line-grammar
-# check), and the JSONL stream's per-line schema and timestamp ordering via
-# jq.
-telemetry_timeline() {
-  local build_dir="$1"
-  echo "=== verify pass: telemetry timeline (${build_dir}) ==="
-  local out="${build_dir}/timeline"
-  rm -f "${out}.port"
-  "${build_dir}/bench/timeline_report" --ops=2000 --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  # The bench writes PREFIX.port once the run finished and the exports are
-  # on disk, then holds the server up until the file is deleted.
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "telemetry: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "telemetry: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"status":"ok"'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/timeline.jsonl" -o "${out}.scraped.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.jsonl" "${out}.jsonl"
-    echo "telemetry: live scrape byte-matches the file exports"
-  else
-    echo "telemetry: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
+# Prometheus text exposition 0.0.4: promtool when installed, else the line
+# grammar (comment lines, or metric_name[{labels}] value [timestamp_ms]).
+check_exposition() {
+  local prom="$1"
   if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "telemetry: promtool exposition check passed"
-  else
-    # Exposition format 0.0.4: comment lines, or
-    #   metric_name[{labels}] value [timestamp_ms]
-    awk '
-      /^#/ { next }
-      /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
-      { print "bad exposition line " NR ": " $0; bad = 1 }
-      END { exit bad }
-    ' "${out}.prom"
-    echo "telemetry: exposition line-grammar check passed (promtool not found)"
-  fi
-  if command -v jq > /dev/null; then
-    jq -e -s '
-      length > 0
-      and all(has("kind") and has("t_ns") and has("seq"))
-      and all(select(.kind == "sample")
-              | has("interval_ns") and (.values | type == "object"))
-      and all(select(.kind == "event")
-              | (.type | type == "string") and has("a") and has("b")
-                and has("tenant"))
-      and ([.[].t_ns] as $t | $t == ($t | sort))
-    ' "${out}.jsonl" > /dev/null
-    echo "telemetry: jq JSONL schema checks passed"
-  else
-    echo "telemetry: jq not found, JSONL schema checks skipped"
-  fi
-}
-
-# Fleet observability: the bench itself enforces the aggregation invariants
-# (every fleet interval sums its per-shard deltas, the deltas telescope to
-# the summed final shard counters, merged-bucket percentiles equal the union
-# quantiles, double-run byte-identical exports, a disabled aggregator
-# bit-identical to an enabled run, the hot-shard storm firing the
-# shard-imbalance/ring-skew/straggler rules while uniform routing stays
-# silent) and exits nonzero on violation; here we additionally scrape the
-# live federated endpoint from a real external client (curl), byte-compare
-# both documents against the file exports, and validate the formats —
-# Prometheus text exposition (promtool or the line-grammar fallback) for the
-# shard-labeled scrape, and the per-shard JSONL document's schema via jq.
-fleet_timeline() {
-  local build_dir="$1" ops="${2:-2000}"
-  echo "=== verify pass: fleet timeline (${build_dir}) ==="
-  local out="${build_dir}/fleet"
-  rm -f "${out}.port"
-  "${build_dir}/bench/fleet_timeline" --ops="${ops}" --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "fleet: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "fleet: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"shards":4'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/shards.jsonl" \
-      -o "${out}.scraped.shards.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.shards.jsonl" "${out}.shards.jsonl"
-    echo "fleet: live federated scrape byte-matches the file exports"
-  else
-    echo "fleet: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
-  if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "fleet: promtool exposition check passed"
+    promtool check metrics < "${prom}"
+    echo "exposition: promtool check passed (${prom})"
   else
     awk '
       /^#/ { next }
       /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
       { print "bad exposition line " NR ": " $0; bad = 1 }
       END { exit bad }
-    ' "${out}.prom"
-    echo "fleet: exposition line-grammar check passed (promtool not found)"
-  fi
-  grep -q 'bandslim_shard_ops_total{shard="3"}' "${out}.prom"
-  if command -v jq > /dev/null; then
-    jq -e -s '
-      length == 4
-      and all(has("shard") and has("t_ns") and has("ops") and has("delta_ops")
-              and has("routed_keys") and has("expected_share_permille")
-              and has("actual_share_permille"))
-      and ([.[].shard] == [0, 1, 2, 3])
-    ' "${out}.shards.jsonl" > /dev/null
-    echo "fleet: jq shards.jsonl schema checks passed"
-  else
-    echo "fleet: jq not found, shards.jsonl schema checks skipped"
+    ' "${prom}"
+    echo "exposition: line-grammar check passed, promtool not found (${prom})"
   fi
 }
 
-# Tenant/key-space attribution: the bench itself enforces the attribution
-# invariants (every fleet interval's tenant + untagged deltas sum exactly to
-# the fleet delta across all four charge dimensions and telescope to the
-# summed final counters, the attribution ledger matches the runner's issued
-# op/shed counts, double-run byte-identical prom/timeline/slo exports, a
-# disabled plane bit-identical in virtual time and device counters, the
-# noisy-neighbor storm firing the burn-rate and hot-key-range rules while
-# the clean blend stays silent and shed-free) and exits nonzero on
-# violation; here we additionally scrape /metrics and /slo.jsonl from a real
-# external client (curl), byte-compare both against the file exports,
-# validate the tenant-labeled exposition (promtool or the line-grammar
-# fallback), and check the /slo.jsonl per-tenant schema via jq.
-tenant_slo() {
-  local build_dir="$1" ops="${2:-3000}"
-  echo "=== verify pass: tenant SLO attribution (${build_dir}) ==="
-  local out="${build_dir}/tenant_slo"
-  rm -f "${out}.port"
-  "${build_dir}/bench/tenant_slo_report" --ops="${ops}" --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "tenant_slo: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "tenant_slo: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"status":"ok"'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/slo.jsonl" -o "${out}.scraped.slo.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.slo.jsonl" "${out}.slo.jsonl"
-    echo "tenant_slo: live scrape byte-matches the file exports"
-  else
-    echo "tenant_slo: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
-  if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "tenant_slo: promtool exposition check passed"
-  else
-    awk '
-      /^#/ { next }
-      /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
-      { print "bad exposition line " NR ": " $0; bad = 1 }
-      END { exit bad }
-    ' "${out}.prom"
-    echo "tenant_slo: exposition line-grammar check passed (promtool not found)"
-  fi
-  grep -q 'bandslim_tenant_ops_total{tenant="frontend"}' "${out}.prom"
-  grep -q 'bandslim_keyspace_heat_max_share_permille' "${out}.prom"
+# jq -s FILTER over a JSONL document; skipped with a note when jq is absent.
+check_jsonl() {
+  local filter="$1" file="$2"
   if command -v jq > /dev/null; then
-    jq -e -s '
-      length == 2
-      and all(has("tenant") and has("name") and has("ops") and has("good")
-              and has("bad") and has("shed") and has("errors")
-              and has("latency_target_ns")
-              and has("availability_target_permille")
-              and has("allowed_bad_permille") and has("budget_spent_permille")
-              and has("burn_fast_milli") and has("burn_slow_milli")
-              and has("p99_ns") and has("dev_ops") and has("value_bytes")
-              and has("pcie_h2d_bytes") and has("nand_pages_programmed")
-              and has("taf_milli"))
-      and ([.[].tenant] == [0, 1])
-    ' "${out}.slo.jsonl" > /dev/null
-    echo "tenant_slo: jq slo.jsonl schema checks passed"
+    jq -e -s "${filter}" "${file}" > /dev/null
+    echo "jsonl: jq schema checks passed (${file})"
   else
-    echo "tenant_slo: jq not found, slo.jsonl schema checks skipped"
+    echo "jsonl: jq not found, schema checks skipped (${file})"
   fi
 }
 
-# Closed-loop control storm: the bench replays the undersized-LSM storm
-# three ways — uncontrolled, null policy (controller built with every knob
-# off; exports must byte-match the uncontrolled run), and controlled — and
-# exits nonzero unless the controlled run bounds the stall streak (<= 2
-# consecutive intervals), beats the uncontrolled worst-interval p99, never
-# fires free-blocks-low, and produces a byte-identical actuation log across
-# a double run. The GC-headroom demo does the same for the FTL knob under
-# 1 % program failures. Here we additionally sanity-check the side-by-side
-# CSV's shape.
-control_storm() {
-  local build_dir="$1"
-  echo "=== verify pass: control storm (${build_dir}) ==="
-  local out="${build_dir}/control"
-  "${build_dir}/bench/timeline_report" --ops=2000 --control --export="${out}"
-  awk -F, '
-    NR == 1 { cols = NF; if (cols != 12) { print "bad header: " NF " cols"; exit 1 } next }
-    NF != cols { print "ragged row " NR; exit 1 }
-    END { if (NR < 2) { print "no data rows"; exit 1 } }
-  ' "${out}.control.csv"
-  awk -F, 'NR == 1 && $0 != "t_ns,seq,rule,observed,old_setting,new_setting" \
-             { print "bad actuation header"; exit 1 }
-           END { if (NR < 2) { print "empty actuation log"; exit 1 } }' \
-    "${out}.actuations.csv"
-  echo "control storm: side-by-side and actuation CSVs well-formed"
-  "${build_dir}/bench/fault_campaign" --ops=2000 --control
+# Observation gates, one per bench/observe_report scenario:
+#   scrape_gate device|control|fleet|tenant BUILD_DIR [OPS]
+# The bench enforces each scenario's invariants itself (reconciliation and
+# telescoping against the final counters, merged percentiles, tenant
+# attribution, double-run byte-identity, disabled-plane bit-identity,
+# watchdog fires under each storm and silence on each clean run, in-process
+# scrape == file export) and exits nonzero on violation. Here every serving
+# scenario (all but control) additionally holds its HTTP exporter up for a
+# real external client: curl checks /healthz and byte-compares /metrics,
+# /timeline.jsonl and the plane's own document (/shards.jsonl for fleet,
+# /slo.jsonl for tenant) against the file exports. Then the exports' formats
+# are validated: the exposition, the timeline's per-line schema and
+# timestamp order, the plane's labeled families and document schema, and
+# for control the side-by-side and actuation CSVs plus the fault campaign's
+# GC-pacing demo.
+scrape_gate() {
+  local scenario="$1" build_dir="$2" ops="${3:-}"
+  echo "=== verify pass: observe_report --scenario=${scenario} (${build_dir}) ==="
+  local out="${build_dir}/${scenario}" doc=""
+  local -a args=(--scenario="${scenario}" --export="${out}")
+  if [ -n "${ops}" ]; then args+=(--ops="${ops}"); fi
+  case "${scenario}" in
+    fleet) doc=shards.jsonl ;;
+    tenant) doc=slo.jsonl ;;
+  esac
+  if [ "${scenario}" = control ]; then
+    "${build_dir}/bench/observe_report" "${args[@]}"
+  else
+    rm -f "${out}.port"
+    "${build_dir}/bench/observe_report" "${args[@]}" \
+      --serve=0 --serve-hold=30000 &
+    local bench_pid=$!
+    # The bench writes PREFIX.port once the run finished and the exports are
+    # on disk, then holds the server up until the file is deleted.
+    local waited=0
+    while [ ! -f "${out}.port" ]; do
+      if ! kill -0 "${bench_pid}" 2> /dev/null; then
+        wait "${bench_pid}"
+        echo "${scenario}: bench exited before serving" >&2
+        return 1
+      fi
+      sleep 0.2
+      waited=$((waited + 1))
+      if [ "${waited}" -gt 1500 ]; then
+        echo "${scenario}: timed out waiting for ${out}.port" >&2
+        kill "${bench_pid}" 2> /dev/null || true
+        return 1
+      fi
+    done
+    local base
+    base="http://127.0.0.1:$(cat "${out}.port")"
+    if command -v curl > /dev/null; then
+      local health route
+      health="$(curl -sf "${base}/healthz")"
+      grep -q '"status":"ok"' <<< "${health}"
+      if [ -n "${doc}" ]; then grep -q '"shards":4' <<< "${health}"; fi
+      for route in /metrics=prom /timeline.jsonl=jsonl ${doc:+/${doc}=${doc}}; do
+        curl -sf "${base}${route%=*}" -o "${out}.scraped.${route#*=}"
+        cmp "${out}.scraped.${route#*=}" "${out}.${route#*=}"
+      done
+      echo "${scenario}: live scrape byte-matches the file exports"
+    else
+      echo "${scenario}: curl not found, external scrape skipped"
+    fi
+    rm -f "${out}.port"  # Releases the hold.
+    wait "${bench_pid}"
+  fi
+
+  check_exposition "${out}.prom"
+  check_jsonl '
+    length > 0
+    and all(has("kind") and has("t_ns") and has("seq"))
+    and all(select(.kind == "sample")
+            | has("interval_ns") and (.values | type == "object"))
+    and all(select(.kind == "event")
+            | (.type | type == "string") and has("a") and has("b")
+              and has("tenant"))
+    and ([.[].t_ns] as $t | $t == ($t | sort))
+  ' "${out}.jsonl"
+  case "${scenario}" in
+    control)
+      awk -F, '
+        NR == 1 { cols = NF; if (cols != 12) { print "bad header: " NF " cols"; exit 1 } next }
+        NF != cols { print "ragged row " NR; exit 1 }
+        END { if (NR < 2) { print "no data rows"; exit 1 } }
+      ' "${out}.control.csv"
+      awk -F, 'NR == 1 && $0 != "t_ns,seq,rule,observed,old_setting,new_setting" \
+                 { print "bad actuation header"; exit 1 }
+               END { if (NR < 2) { print "empty actuation log"; exit 1 } }' \
+        "${out}.actuations.csv"
+      echo "control: side-by-side and actuation CSVs well-formed"
+      "${build_dir}/bench/fault_campaign" --ops=2000 --control
+      ;;
+    fleet)
+      grep -q 'bandslim_shard_ops_total{shard="3"}' "${out}.prom"
+      check_jsonl '
+        length == 4
+        and all(has("shard") and has("t_ns") and has("ops") and has("delta_ops")
+                and has("routed_keys") and has("expected_share_permille")
+                and has("actual_share_permille"))
+        and ([.[].shard] == [0, 1, 2, 3])
+      ' "${out}.shards.jsonl"
+      ;;
+    tenant)
+      grep -q 'bandslim_tenant_ops_total{tenant="frontend"}' "${out}.prom"
+      grep -q 'bandslim_keyspace_heat_max_share_permille' "${out}.prom"
+      check_jsonl '
+        length == 2
+        and all(has("tenant") and has("name") and has("ops") and has("good")
+                and has("bad") and has("shed") and has("errors")
+                and has("latency_target_ns")
+                and has("availability_target_permille")
+                and has("allowed_bad_permille") and has("budget_spent_permille")
+                and has("burn_fast_milli") and has("burn_slow_milli")
+                and has("p99_ns") and has("dev_ops") and has("value_bytes")
+                and has("pcie_h2d_bytes") and has("nand_pages_programmed")
+                and has("taf_milli"))
+        and ([.[].tenant] == [0, 1])
+      ' "${out}.slo.jsonl"
+      ;;
+  esac
 }
 
 # Simulator-throughput regression gate. Release only: wall-clock numbers
@@ -346,31 +234,47 @@ shard_scaling() {
   echo "shard scaling: N=1 identity + 4-shard speedup gates passed, CSV well-formed"
 }
 
+# One matrix leg's gates against an already-built tree. Sanitized runs are
+# slower, so the asan-ubsan leg scales the cluster workloads down.
+leg_gates() {
+  local leg="$1" build_dir="$2"
+  local fleet_ops=2000 tenant_ops=3000 shard_ops=6000
+  case "${leg}" in
+    release) ;;
+    asan-ubsan) fleet_ops=1200 tenant_ops=1500 shard_ops=1500 ;;
+    *) echo "unknown leg: ${leg} (release|asan-ubsan)" >&2; return 2 ;;
+  esac
+  fault_campaign "${build_dir}"
+  trace_export "${build_dir}"
+  scrape_gate device "${build_dir}" 2000
+  scrape_gate control "${build_dir}" 2000
+  scrape_gate fleet "${build_dir}" "${fleet_ops}"
+  scrape_gate tenant "${build_dir}" "${tenant_ops}"
+  shard_scaling "${build_dir}" "${shard_ops}"
+}
+
+if [ "${1:-}" = --gates ]; then
+  leg_gates "${2:?usage: ci/verify.sh --gates LEG BUILD_DIR}" \
+    "${3:?usage: ci/verify.sh --gates LEG BUILD_DIR}"
+  exit
+fi
+
+prefix="${1:-build-ci}"
+
 # New code must use Inspect()/Hooks(): calling a [[deprecated]] accessor is a
 # build error in CI, so the legacy API can only shrink.
 run_pass release "${prefix}-release" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations"
 
-trace_export "${prefix}-release"
-telemetry_timeline "${prefix}-release"
-fleet_timeline "${prefix}-release"
-tenant_slo "${prefix}-release"
-control_storm "${prefix}-release"
+leg_gates release "${prefix}-release"
 sim_speed_gate "${prefix}-release"
-shard_scaling "${prefix}-release"
 
 run_pass asan-ubsan "${prefix}-asan" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations -fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
-fault_campaign "${prefix}-asan"
-trace_export "${prefix}-asan"
-telemetry_timeline "${prefix}-asan"
-fleet_timeline "${prefix}-asan" 1200
-tenant_slo "${prefix}-asan" 1500
-control_storm "${prefix}-asan"
-shard_scaling "${prefix}-asan" 1500
+leg_gates asan-ubsan "${prefix}-asan"
 
 echo "=== verify: all passes green ==="

@@ -74,6 +74,9 @@ Result<std::unique_ptr<KvCluster>> KvCluster::Open(
   if (config.virtual_nodes == 0) {
     return Status::InvalidArgument("virtual_nodes must be >= 1");
   }
+  if (config.fleet.enabled && config.fleet.sample_interval_ns == 0) {
+    return Status::InvalidArgument("fleet.sample_interval_ns must be > 0");
+  }
   auto cluster = std::unique_ptr<KvCluster>(new KvCluster(config));
   BANDSLIM_RETURN_IF_ERROR(cluster->Assemble());
   return cluster;
@@ -575,18 +578,7 @@ void KvCluster::InspectInto(StoreSnapshot* out) const {
   out->qos_refill_windows = qos_refill_windows_;
   // Fleet-level watchdog state (shard imbalance, p99 skew, ring skew,
   // straggler stall) — distinct from each shard's per-device alerts.
-  const telemetry::Watchdog& wd = fleet_->watchdog();
-  out->alerts.resize(wd.rules().size());
-  for (std::size_t i = 0; i < wd.rules().size(); ++i) {
-    const telemetry::AlertState& st = wd.states()[i];
-    DeviceSnapshot::AlertInfo& a = out->alerts[i];
-    a.rule.assign(wd.rules()[i].name);
-    a.fired = st.fired;
-    a.cleared = st.cleared;
-    a.active = st.active;
-    a.last_value = st.last_value;
-    a.last_fire_ns = st.last_fire_ns;
-  }
+  CopyAlerts(fleet_->watchdog(), &out->alerts);
   out->fleet_samples = fleet_->samples_emitted();
   out->fleet_events = fleet_->event_log().total_emitted();
 }

@@ -75,10 +75,11 @@ struct ClusterConfig {
   sim::Nanoseconds qos_refill_window_ns = 100000;
   // Fleet-level observability (telemetry/fleet.h): a cluster-wide sampler
   // on the router clock aggregating every shard's registry, with merged
-  // percentiles and shard-imbalance watchdogs. Disabled by default; the
-  // aggregator is observation-only either way, so enabling it changes no
-  // simulated outcome.
-  telemetry::FleetConfig fleet;
+  // percentiles and shard-imbalance watchdogs. Same config struct as a
+  // device's KvSsdOptions::telemetry. Disabled by default; the aggregator is
+  // observation-only either way, so enabling it changes no simulated
+  // outcome.
+  telemetry::TelemetryConfig fleet;
   // Tenant/key-space attribution plane (telemetry/attribution). Requires
   // fleet.enabled — its series ride the fleet sample grid. Per-tenant SLOs
   // in attribution.slo pair positionally with `tenants`. Observation-only:

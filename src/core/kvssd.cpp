@@ -93,6 +93,9 @@ Result<std::unique_ptr<KvSsd>> KvSsd::Open(const KvSsdOptions& options) {
   if (options.buffer.num_entries < 2) {
     return Status::InvalidArgument("buffer needs at least two entries");
   }
+  if (options.telemetry.enabled && options.telemetry.sample_interval_ns == 0) {
+    return Status::InvalidArgument("telemetry.sample_interval_ns must be > 0");
+  }
   return std::unique_ptr<KvSsd>(new KvSsd(options));
 }
 
@@ -310,12 +313,16 @@ void KvSsd::InspectDeviceInto(DeviceSnapshot* out) const {
   metrics_.SnapshotCountersInto(&out->counters);
   out->telemetry_samples = sampler_->samples_emitted();
   out->telemetry_events = sampler_->event_log().total_emitted();
-  const telemetry::Watchdog& wd = sampler_->watchdog();
-  out->alerts.resize(wd.rules().size());
-  for (std::size_t i = 0; i < wd.rules().size(); ++i) {
-    const telemetry::AlertState& st = wd.states()[i];
-    DeviceSnapshot::AlertInfo& a = out->alerts[i];
-    a.rule.assign(wd.rules()[i].name);  // Reuses the string's capacity.
+  CopyAlerts(sampler_->watchdog(), &out->alerts);
+}
+
+void CopyAlerts(const telemetry::Watchdog& watchdog,
+                std::vector<DeviceSnapshot::AlertInfo>* alerts) {
+  alerts->resize(watchdog.rules().size());
+  for (std::size_t i = 0; i < watchdog.rules().size(); ++i) {
+    const telemetry::AlertState& st = watchdog.states()[i];
+    DeviceSnapshot::AlertInfo& a = (*alerts)[i];
+    a.rule.assign(watchdog.rules()[i].name);  // Reuses the string's capacity.
     a.fired = st.fired;
     a.cleared = st.cleared;
     a.active = st.active;

@@ -155,8 +155,8 @@ class KvSsd : public KvStore {
   // trace::ToBreakdownCsv for export.
   const trace::Tracer& tracer() const { return tracer_; }
   // Telemetry sample stream / event log / watchdog (records only while
-  // options().telemetry.enabled); feed to telemetry::ToPrometheusText /
-  // ToJsonl / ToTimeSeriesCsv for export. Call Hooks().sampler->Finalize()
+  // options().telemetry.enabled); export with its ToPrometheusText() /
+  // ToJsonl() or telemetry::ToTimeSeriesCsv. Call Hooks().sampler->Finalize()
   // before exporting so the closing sample reconciles with GetStats().
   const telemetry::Sampler& telemetry() const { return *sampler_; }
   // The closed-loop controller (null unless options().control.enabled and
@@ -221,5 +221,10 @@ class KvSsd : public KvStore {
   std::unique_ptr<control::LoopController> loop_controller_;
   std::vector<std::unique_ptr<driver::KvDriver>> extra_drivers_;
 };
+
+// Copies a watchdog's per-rule alert state into a snapshot's alert list,
+// reusing the entries' string capacity (device and fleet snapshots alike).
+void CopyAlerts(const telemetry::Watchdog& watchdog,
+                std::vector<DeviceSnapshot::AlertInfo>* alerts);
 
 }  // namespace bandslim

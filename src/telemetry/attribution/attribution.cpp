@@ -227,9 +227,9 @@ void AttributionPlane::OnFleetSample(sim::Nanoseconds interval_ns,
                                      SeriesSlots* slots,
                                      const FleetTotals& totals) {
   // --- Untagged residual: fleet totals minus the sum of tenant charges ----
-  // Both sides are read at the same instant (inside TakeSample, after the
-  // op that crossed the boundary fully completed), so the residual is exact
-  // and every per-interval identity below holds by construction.
+  // Both sides are read at the same instant (inside FleetAggregator::Fill,
+  // after the op that crossed the boundary fully completed), so the residual
+  // is exact and every per-interval identity below holds by construction.
   TenantCharges sums;
   for (const TenantCharges& t : tenants_) {
     sums.dev_ops += t.dev_ops;

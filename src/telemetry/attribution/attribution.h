@@ -9,14 +9,14 @@
 //   RecordOp         router-observed latency + status (kBusy = shed) into
 //                    the tenant's log-bucket histogram and SLO ledger
 //
-// The plane does not run its own sampler: FleetAggregator::TakeSample calls
+// The plane does not run its own sampler: FleetAggregator::Fill calls
 // OnFleetSample so every tenant/heat/SLO series lands in the SAME interval
 // grid, timeline, and watchdog pass as the fleet series (one merged
 // /timeline.jsonl, burn-rate rules ride the existing hysteresis engine and
 // surface in StoreSnapshot::alerts).
 //
 // Attribution invariants (asserted by tests/attribution_test and enforced
-// by bench/tenant_slo_report exiting nonzero):
+// by `bench/observe_report --scenario=tenant` exiting nonzero):
 //  * Exact reconciliation. Tenant device charges are before/after reads of
 //    the owner shard's live counters around each routed op; the untagged
 //    bucket is the residual against the summed fleet counters at the sample
@@ -186,7 +186,7 @@ class AttributionPlane {
   // Count one routed key (batch members individually) into its heat bucket.
   void TouchKey(std::uint64_t key_hash);
 
-  // --- Sample grid (FleetAggregator::TakeSample) --------------------------
+  // --- Sample grid (FleetAggregator::Fill) --------------------------------
   // Folds tenant/heat/SLO series into the fleet sample being built in
   // `slots` (between its Begin and Finish; `interval_ns` is the sample's
   // interval), updates the untagged residual against `totals`, advances

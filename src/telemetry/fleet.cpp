@@ -1,7 +1,6 @@
 #include "telemetry/fleet.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "telemetry/attribution/attribution.h"
-#include "telemetry/export.h"
 
 namespace bandslim::telemetry {
 
@@ -38,7 +36,7 @@ constexpr const char* kPcieH2dCounters[] = {
     "pcie.mmio.h2d_bytes", "pcie.cmd_fetch.h2d_bytes",
     "pcie.dma_data.h2d_bytes", "pcie.completion.h2d_bytes"};
 
-// Fleet derived series, in the order TakeSample emits them.
+// Fleet derived series, in the order Fill emits them.
 constexpr const char* kDerivedSeries[] = {
     "fleet.shards",
     "delta.ops",
@@ -105,11 +103,9 @@ WatchdogRule StragglerShardRule(std::uint32_t n, std::uint32_t clear_n) {
 }
 
 FleetAggregator::FleetAggregator(const sim::VirtualClock* router_clock,
-                                 const FleetConfig& config)
-    : clock_(router_clock),
-      config_(config),
-      event_log_(router_clock, config.event_capacity),
-      watchdog_(config.rules) {
+                                 const TelemetryConfig& config)
+    : Timeline(router_clock, config, "bandslim_fleet_samples_total",
+               "Fleet samples emitted by the cluster aggregator.") {
   static_assert(std::tuple_size_v<decltype(roles_)> ==
                 std::size(kRoleCounters));
   roles_.fill(-1);
@@ -131,57 +127,10 @@ void FleetAggregator::Bind(std::vector<ShardSource> shards,
   windows_.assign(shards_.size(), ShardWindow{});
   prev_shard_ops_.assign(shards_.size(), 0);
   last_shard_op_hist_.assign(shards_.size(), stats::HistogramBuckets{});
-  if (!anchored_) {
-    anchored_ = true;
-    anchor_ns_ = clock_->Now();
-    last_sample_ns_ = anchor_ns_;
-    next_boundary_ns_ = anchor_ns_ + config_.sample_interval_ns;
-  }
+  Anchor();
 }
 
-void FleetAggregator::Poll() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now < next_boundary_ns_) return;
-  const sim::Nanoseconds stamp =
-      anchor_ns_ +
-      (now - anchor_ns_) / config_.sample_interval_ns *
-          config_.sample_interval_ns;
-  TakeSample(stamp);
-  next_boundary_ns_ = stamp + config_.sample_interval_ns;
-}
-
-void FleetAggregator::Finalize() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now <= last_sample_ns_ && next_seq_ > 0) {
-    PublishSnapshot();
-    return;
-  }
-  TakeSample(now);
-  PublishSnapshot();
-  if (next_boundary_ns_ <= now) {
-    next_boundary_ns_ =
-        anchor_ns_ +
-        ((now - anchor_ns_) / config_.sample_interval_ns + 1) *
-            config_.sample_interval_ns;
-  }
-}
-
-std::uint64_t FleetAggregator::Latest(const std::string& name) const {
-  if (samples_.empty()) return 0;
-  const std::int64_t id = slots_.table().Find(name);
-  if (id < 0) return 0;
-  return samples_.back().Value(static_cast<std::uint32_t>(id));
-}
-
-void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
-  Sample s;
-  s.t_ns = stamp;
-  s.interval_ns = stamp - last_sample_ns_;
-  s.seq = next_seq_++;
-  slots_.Begin();
-
+void FleetAggregator::Fill(sim::Nanoseconds interval_ns) {
   // --- Per-shard reads: one instant, one pass ----------------------------
   // Every shard's counters are read while the routed op that crossed the
   // boundary is complete on its device, so the summed cluster series and
@@ -308,7 +257,7 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   slots_.Set(derived_ids_[k++], d_vb);
   slots_.Set(derived_ids_[k++], d_h2d);
   slots_.Set(derived_ids_[k++], d_pages);
-  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, s.interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, interval_ns));
   slots_.Set(derived_ids_[k++], RatioMilli(d_h2d, d_vb));
   slots_.Set(derived_ids_[k++], RatioMilli(cum_h2d, cum_vb));
   // max/mean x1000 == max * N * 1000 / total; 0 on an idle interval so the
@@ -331,33 +280,13 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
     totals.value_bytes = cum_vb;
     totals.pcie_h2d_bytes = cum_h2d;
     totals.nand_pages = cum_pages;
-    attribution_->OnFleetSample(s.interval_ns, &slots_, totals);
-  }
-
-  slots_.Finish(&s);
-  s.events_before = event_log_.total_emitted();
-
-  last_sample_ns_ = stamp;
-  if (samples_.size() == config_.sample_capacity) {
-    samples_.pop_front();
-    ++dropped_samples_;
-  }
-  samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), slots_.table(), &event_log_);
-
-  if (config_.publish_every != 0 &&
-      samples_.back().seq % config_.publish_every == 0) {
-    PublishSnapshot();
+    attribution_->OnFleetSample(interval_ns, &slots_, totals);
   }
 }
 
-std::string FleetAggregator::ToPrometheusText() const {
-  std::string out = PrometheusTextCore(
-      samples_, slots_.table(), watchdog_, next_seq_,
-      "bandslim_fleet_samples_total",
-      "Fleet samples emitted by the cluster aggregator.");
-  if (samples_.empty() || windows_.empty()) return out;
-  const std::uint64_t ts_ms = samples_.back().t_ns / sim::kMillisecond;
+void FleetAggregator::AppendPrometheus(std::string* out,
+                                       std::uint64_t ts_ms) const {
+  if (windows_.empty()) return;
   std::ostringstream os;
   // Federated per-shard block: the same scrape carries every shard's view
   // under a `shard` label, so one endpoint serves the whole cluster.
@@ -382,20 +311,15 @@ std::string FleetAggregator::ToPrometheusText() const {
          [](const ShardWindow& w) { return w.routed_keys; });
   family("bandslim_shard_p99_ns", "gauge",
          [](const ShardWindow& w) { return w.p99_ns; });
-  out += os.str();
+  *out += os.str();
   if (attribution_ != nullptr && attribution_->enabled()) {
-    attribution_->AppendPrometheus(&out, ts_ms);
+    attribution_->AppendPrometheus(out, ts_ms);
   }
-  return out;
-}
-
-std::string FleetAggregator::ToJsonl() const {
-  return TimelineJsonlCore(samples_, slots_.table(), event_log_, watchdog_);
 }
 
 std::string FleetAggregator::ShardsJsonl() const {
   std::ostringstream os;
-  const sim::Nanoseconds t = samples_.empty() ? 0 : samples_.back().t_ns;
+  const sim::Nanoseconds t = samples().empty() ? 0 : samples().back().t_ns;
   std::uint64_t total_routed = 0;
   for (const ShardWindow& w : windows_) total_routed += w.routed_keys;
   for (std::size_t i = 0; i < windows_.size(); ++i) {
@@ -416,36 +340,14 @@ std::string FleetAggregator::ShardsJsonl() const {
   return os.str();
 }
 
-void FleetAggregator::PublishSnapshot() {
-  if (sink_ == nullptr || samples_.empty() ||
-      samples_.back().seq == last_published_seq_) {
-    return;
-  }
-  auto snap = std::make_shared<PublishedSnapshot>();
-  snap->sample_seq = samples_.back().seq;
-  snap->t_ns = samples_.back().t_ns;
-  snap->metrics_text = ToPrometheusText();
-  snap->timeline_jsonl = ToJsonl();
+void FleetAggregator::AddToSnapshot(PublishedSnapshot* snap,
+                                    std::string* health) const {
   snap->shards_jsonl = ShardsJsonl();
   if (attribution_ != nullptr && attribution_->enabled()) {
     snap->slo_jsonl = attribution_->SloJsonl();
   }
-  std::string health = "{\"status\":\"ok\",\"sample_seq\":";
-  health += std::to_string(snap->sample_seq);
-  health += ",\"t_ns\":";
-  health += std::to_string(snap->t_ns);
-  health += ",\"samples\":";
-  health += std::to_string(next_seq_);
-  health += ",\"events\":";
-  health += std::to_string(event_log_.total_emitted());
-  health += ",\"alerts_fired\":";
-  health += std::to_string(watchdog_.total_fired());
-  health += ",\"shards\":";
-  health += std::to_string(windows_.size());
-  health += "}\n";
-  snap->healthz_json = std::move(health);
-  last_published_seq_ = snap->sample_seq;
-  sink_->Publish(std::move(snap));
+  *health += ",\"shards\":";
+  *health += std::to_string(windows_.size());
 }
 
 }  // namespace bandslim::telemetry

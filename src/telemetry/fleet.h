@@ -1,10 +1,10 @@
 // Fleet-level observability for a sharded KvCluster (DESIGN.md 2.9): one
 // aggregator that samples every shard's metrics registry on the ROUTER
-// clock's interval grid and renders a cluster-wide timeline next to the
-// shards' own per-device samplers.
+// clock's interval grid (the engine in telemetry/timeline.h) and renders a
+// cluster-wide timeline next to the shards' own per-device samplers.
 //
 // Aggregation invariants (asserted by tests/fleet_test and enforced by
-// bench/fleet_timeline exiting nonzero):
+// `bench/observe_report --scenario=fleet` exiting nonzero):
 //  * Exact reconciliation. A cluster cumulative series is the plain sum of
 //    the shard counters read at one instant, so every per-interval fleet
 //    delta equals the sum of the per-shard deltas over the same interval,
@@ -27,37 +27,19 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "sim/clock.h"
 #include "stats/metrics.h"
-#include "telemetry/event_log.h"
-#include "telemetry/sample.h"
 #include "telemetry/series_slots.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/watchdog.h"
+#include "telemetry/timeline.h"
 
 namespace bandslim::telemetry {
 
 namespace attribution {
 class AttributionPlane;
 }
-
-struct FleetConfig {
-  bool enabled = false;
-  // Virtual time between fleet samples, on the router clock.
-  sim::Nanoseconds sample_interval_ns = sim::kMillisecond;
-  std::size_t sample_capacity = 1u << 16;
-  std::size_t event_capacity = 1u << 14;
-  // Fleet watchdog rules (see the canned constructors below); evaluated on
-  // every fleet sample with the same assert/deassert hysteresis engine the
-  // per-device sampler uses.
-  std::vector<WatchdogRule> rules;
-  // Snapshot publication cadence, as in TelemetryConfig::publish_every.
-  std::uint64_t publish_every = 64;
-};
 
 // --- Canned fleet rules ----------------------------------------------------
 // Rule table (all inputs are fleet series the aggregator derives; series
@@ -89,7 +71,7 @@ WatchdogRule RingSkewRule(std::uint64_t skew_permille, std::uint32_t n);
 // consecutive intervals.
 WatchdogRule StragglerShardRule(std::uint32_t n, std::uint32_t clear_n = 2);
 
-class FleetAggregator {
+class FleetAggregator : public Timeline {
  public:
   // One shard's observation points. Pointers are observed, never mutated.
   struct ShardSource {
@@ -111,10 +93,7 @@ class FleetAggregator {
   };
 
   FleetAggregator(const sim::VirtualClock* router_clock,
-                  const FleetConfig& config);
-
-  bool enabled() const { return config_.enabled; }
-  const FleetConfig& config() const { return config_; }
+                  const TelemetryConfig& config);
 
   // Binds the shard observation points; anchors the interval grid at the
   // router clock's current time on first call. `routed_keys` points at the
@@ -126,36 +105,12 @@ class FleetAggregator {
             const std::vector<std::uint64_t>* routed_keys,
             std::vector<std::uint64_t> expected_share_permille);
 
-  // Emits one fleet sample if a router-clock interval boundary has passed;
-  // called by the cluster after every routed op. Disabled = one branch.
-  void Poll();
-  // Closing sample at the current router time, so the last sample's
-  // cumulative series equal the summed final shard counters exactly.
-  // Idempotent at a given time.
-  void Finalize();
-
-  const std::deque<Sample>& samples() const { return samples_; }
-  const SeriesTable& series() const { return slots_.table(); }
-  std::uint64_t samples_emitted() const { return next_seq_; }
-  std::uint64_t dropped_samples() const { return dropped_samples_; }
-  EventLog& event_log() { return event_log_; }
-  const EventLog& event_log() const { return event_log_; }
-  Watchdog& watchdog() { return watchdog_; }
-  const Watchdog& watchdog() const { return watchdog_; }
   const std::vector<ShardWindow>& shard_windows() const { return windows_; }
 
-  // Value of `name` in the latest fleet sample (0 when absent).
-  std::uint64_t Latest(const std::string& name) const;
-
-  // Federated exports. ToPrometheusText serves the cluster series plus a
-  // `shard`-labeled per-shard block from one scrape; ShardsJsonl is one
-  // JSON object per shard (the /shards.jsonl document).
-  std::string ToPrometheusText() const;
-  std::string ToJsonl() const;
+  // The /shards.jsonl document: one JSON object per shard. The fleet's
+  // ToPrometheusText() also carries a `shard`-labeled per-shard block, so
+  // one scrape serves the whole cluster.
   std::string ShardsJsonl() const;
-
-  // Installs (or clears) the snapshot consumer, e.g. the HTTP exporter.
-  void SetSink(SnapshotSink* sink) { sink_ = sink; }
 
   // Attaches (or clears) the tenant/key-space attribution plane. The plane
   // folds its per-tenant and heat series into THIS aggregator's samples —
@@ -171,13 +126,10 @@ class FleetAggregator {
   }
 
  private:
-  void TakeSample(sim::Nanoseconds stamp);
-  void PublishSnapshot();
-
-  const sim::VirtualClock* clock_;  // Router clock: the fleet time base.
-  FleetConfig config_;
-  EventLog event_log_;
-  Watchdog watchdog_;
+  void Fill(sim::Nanoseconds interval_ns) override;
+  void AppendPrometheus(std::string* out, std::uint64_t ts_ms) const override;
+  void AddToSnapshot(PublishedSnapshot* snap,
+                     std::string* health) const override;
 
   // A shard's live objects behind its ShardWindow (nullptr while absent;
   // re-found when the shard's registry grows).
@@ -196,7 +148,6 @@ class FleetAggregator {
   const std::vector<std::uint64_t>* routed_keys_ = nullptr;
   std::vector<std::uint64_t> expected_share_permille_;
 
-  std::deque<Sample> samples_;
   std::vector<ShardWindow> windows_;
   // Previous-sample cumulative state, for per-interval deltas.
   std::vector<std::uint64_t> prev_shard_ops_;
@@ -206,7 +157,6 @@ class FleetAggregator {
   // series. `roles_` are counter slot indices the derived series read,
   // `h2d_slots_` those of the per-class PCIe H2D byte counters, `op_hist_`
   // the merged op-latency histogram's slot (-1 while absent).
-  SeriesSlots slots_;
   CounterSlots counters_;
   HistogramSlots hists_{/*lifetime=*/true};
   std::array<std::int64_t, 3> roles_;
@@ -215,15 +165,7 @@ class FleetAggregator {
   IndexedSeries<4> shard_ids_;
   SeriesGroup<12> derived_ids_;
 
-  SnapshotSink* sink_ = nullptr;
   attribution::AttributionPlane* attribution_ = nullptr;
-  std::uint64_t last_published_seq_ = ~0ULL;
-  bool anchored_ = false;
-  sim::Nanoseconds anchor_ns_ = 0;
-  sim::Nanoseconds next_boundary_ns_ = 0;
-  sim::Nanoseconds last_sample_ns_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t dropped_samples_ = 0;
 };
 
 }  // namespace bandslim::telemetry

@@ -27,7 +27,7 @@
 #include <thread>
 
 #include "common/status.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/timeline.h"
 
 namespace bandslim::telemetry {
 

@@ -1,13 +1,11 @@
 #include "telemetry/telemetry.h"
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "lsm/lsm_tree.h"
-#include "telemetry/export.h"
 
 namespace bandslim::telemetry {
 
@@ -34,7 +32,7 @@ constexpr const char* kRoleCounters[kNumRoles] = {
     "nand.ecc_corrections",    "lsm.memtable_stalls",
     "lsm.compactions",         "lsm.compaction_bytes_written"};
 
-// Fixed series families, each listed in the order TakeSample emits it.
+// Fixed series families, each listed in the order Fill emits it.
 constexpr const char* kPcieSeries[] = {
     "pcie.h2d_bytes",
     "pcie.d2h_bytes",
@@ -85,10 +83,8 @@ constexpr const char* kDerivedSeries[] = {
 }  // namespace
 
 Sampler::Sampler(const sim::VirtualClock* clock, const TelemetryConfig& config)
-    : clock_(clock),
-      config_(config),
-      event_log_(clock, config.event_capacity),
-      watchdog_(config.rules) {
+    : Timeline(clock, config, "bandslim_telemetry_samples_total",
+               "Samples emitted by the virtual-time sampler.") {
   static_assert(std::tuple_size_v<decltype(roles_)> == kNumRoles);
   roles_.fill(-1);
   pcie_class_bytes_.fill(-1);
@@ -100,65 +96,10 @@ void Sampler::Bind(const Sources& sources) {
   if (sources.metrics != nullptr) registries.push_back(sources.metrics);
   counters_.Bind(registries);
   hists_.Bind(std::move(registries));
-  if (!anchored_) {
-    anchored_ = true;
-    anchor_ns_ = clock_->Now();
-    last_sample_ns_ = anchor_ns_;
-    next_boundary_ns_ = anchor_ns_ + config_.sample_interval_ns;
-  }
+  Anchor();
 }
 
-void Sampler::Poll() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now < next_boundary_ns_) return;
-  // Stamp at the last boundary the clock has passed; everything since the
-  // previous sample is attributed to the single interval ending there.
-  const sim::Nanoseconds stamp =
-      anchor_ns_ +
-      (now - anchor_ns_) / config_.sample_interval_ns *
-          config_.sample_interval_ns;
-  TakeSample(stamp);
-  next_boundary_ns_ = stamp + config_.sample_interval_ns;
-}
-
-void Sampler::Finalize() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  // Idempotent: a repeated Finalize with no clock progress — or one landing
-  // on a stamp Poll() already emitted — is a no-op, never a duplicate
-  // closing sample. (Only the very first sample may be stamped at the
-  // anchor itself, hence the next_seq_ guard.)
-  if (now <= last_sample_ns_ && next_seq_ > 0) {
-    // Still guarantee the final state is live: the last Poll() sample may
-    // have fallen between publish cadence points.
-    PublishSnapshot();
-    return;
-  }
-  TakeSample(now);
-  PublishSnapshot();
-  if (next_boundary_ns_ <= now) {
-    next_boundary_ns_ =
-        anchor_ns_ +
-        ((now - anchor_ns_) / config_.sample_interval_ns + 1) *
-            config_.sample_interval_ns;
-  }
-}
-
-std::uint64_t Sampler::Latest(const std::string& name) const {
-  if (samples_.empty()) return 0;
-  const std::int64_t id = slots_.table().Find(name);
-  if (id < 0) return 0;
-  return samples_.back().Value(static_cast<std::uint32_t>(id));
-}
-
-void Sampler::TakeSample(sim::Nanoseconds stamp) {
-  Sample s;
-  s.t_ns = stamp;
-  s.interval_ns = stamp - last_sample_ns_;
-  s.seq = next_seq_++;
-  slots_.Begin();
-
+void Sampler::Fill(sim::Nanoseconds interval_ns) {
   // --- Metrics registry: every named counter, verbatim -------------------
   if (counters_.Refresh(&slots_)) {
     for (std::size_t r = 0; r < kNumRoles; ++r) {
@@ -196,7 +137,7 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
       const std::uint64_t prev_bytes =
           id < 0 ? 0 : slots_.Previous(static_cast<std::uint32_t>(id));
       slots_.Set(pcie_ids_[k + 1],
-                 PerSecond(cls_bytes - prev_bytes, s.interval_ns));
+                 PerSecond(cls_bytes - prev_bytes, interval_ns));
     }
   }
 
@@ -229,7 +170,7 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
           channel_ids_[c][0],
           static_cast<std::uint64_t>(src_.nand->channel_busy_ns(c)));
       slots_.Set(channel_ids_[c][1],
-                 s.interval_ns == 0 ? 0 : d_busy * kMilliScale / s.interval_ns);
+                 interval_ns == 0 ? 0 : d_busy * kMilliScale / interval_ns);
     }
     die_ids_.Resolve(&slots_, g.dies(), [](std::size_t d, std::size_t) {
       return "nand.die" + std::to_string(d) + ".busy_ns";
@@ -310,66 +251,14 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
       src_.nand != nullptr ? src_.nand->geometry().page_size : kNandPageSize;
   const std::uint64_t cum_value_bytes = counters_.value(roles_[kValueBytes]);
   const std::uint64_t cum_pages = counters_.value(roles_[kPagesProgrammed]);
-  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, s.interval_ns));
-  slots_.Set(derived_ids_[k++], PerSecond(d_h2d, s.interval_ns));
-  slots_.Set(derived_ids_[k++], PerSecond(d_d2h, s.interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecondMilli(d_ops, interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecond(d_h2d, interval_ns));
+  slots_.Set(derived_ids_[k++], PerSecond(d_d2h, interval_ns));
   slots_.Set(derived_ids_[k++], RatioMilli(d_h2d, d_value_bytes));
   slots_.Set(derived_ids_[k++], RatioMilli(d_pages * page_size, d_value_bytes));
   slots_.Set(derived_ids_[k++], RatioMilli(cum_h2d, cum_value_bytes));
   slots_.Set(derived_ids_[k++],
              RatioMilli(cum_pages * page_size, cum_value_bytes));
-
-  slots_.Finish(&s);
-
-  // Events emitted from here on (watchdog alerts) belong *after* this
-  // sample in the timeline; the exporters use this to break timestamp ties.
-  s.events_before = event_log_.total_emitted();
-
-  last_sample_ns_ = stamp;
-  if (samples_.size() == config_.sample_capacity) {
-    samples_.pop_front();
-    ++dropped_samples_;
-  }
-  samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), slots_.table(), &event_log_);
-
-  // Control tick: the observer sees the finalized sample plus this
-  // interval's watchdog edges, and may actuate device knobs. Any clock time
-  // it spends is charged to the op whose Poll() crossed the boundary.
-  if (observer_ != nullptr) observer_->OnSample(samples_.back());
-
-  // Rendering is O(samples), so publish on a sample-count cadence only;
-  // Finalize publishes the closing sample regardless.
-  if (config_.publish_every != 0 &&
-      samples_.back().seq % config_.publish_every == 0) {
-    PublishSnapshot();
-  }
-}
-
-void Sampler::PublishSnapshot() {
-  if (sink_ == nullptr || samples_.empty() ||
-      samples_.back().seq == last_published_seq_) {
-    return;
-  }
-  auto snap = std::make_shared<PublishedSnapshot>();
-  snap->sample_seq = samples_.back().seq;
-  snap->t_ns = samples_.back().t_ns;
-  snap->metrics_text = ToPrometheusText(*this);
-  snap->timeline_jsonl = ToJsonl(*this);
-  std::string health = "{\"status\":\"ok\",\"sample_seq\":";
-  health += std::to_string(snap->sample_seq);
-  health += ",\"t_ns\":";
-  health += std::to_string(snap->t_ns);
-  health += ",\"samples\":";
-  health += std::to_string(next_seq_);
-  health += ",\"events\":";
-  health += std::to_string(event_log_.total_emitted());
-  health += ",\"alerts_fired\":";
-  health += std::to_string(watchdog_.total_fired());
-  health += "}\n";
-  snap->healthz_json = std::move(health);
-  last_published_seq_ = snap->sample_seq;
-  sink_->Publish(std::move(snap));
 }
 
 }  // namespace bandslim::telemetry

@@ -37,7 +37,7 @@ std::uint64_t V(const SeriesTable& table, const Sample& s,
 }
 
 // Folds one fleet sample's attribution series the way
-// FleetAggregator::TakeSample does, over a 1 ms interval.
+// FleetAggregator::Fill does, over a 1 ms interval.
 Sample Fold(AttributionPlane& plane, SeriesSlots* slots,
             const AttributionPlane::FleetTotals& totals) {
   Sample s;

@@ -16,7 +16,7 @@
 #include "common/random.h"
 #include "control/control_loop.h"
 #include "core/kvssd.h"
-#include "telemetry/export.h"
+#include "telemetry/telemetry.h"
 #include "workload/runner.h"
 
 namespace bandslim::cluster {
@@ -319,8 +319,8 @@ CampaignExports RunFourShardCampaign() {
   for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
     KvSsd& dev = fleet->shard(s);
     dev.Hooks().sampler->Finalize();
-    out.prom.push_back(telemetry::ToPrometheusText(dev.telemetry()));
-    out.jsonl.push_back(telemetry::ToJsonl(dev.telemetry()));
+    out.prom.push_back(dev.telemetry().ToPrometheusText());
+    out.jsonl.push_back(dev.telemetry().ToJsonl());
     out.actuations.push_back(dev.control() ? dev.control()->ActuationsCsv()
                                            : "");
   }

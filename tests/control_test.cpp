@@ -11,7 +11,6 @@
 
 #include "control/control_loop.h"
 #include "core/kvssd.h"
-#include "telemetry/export.h"
 #include "telemetry/telemetry.h"
 #include "workload/value_gen.h"
 
@@ -148,8 +147,8 @@ Exports RunAndExport(const KvSsdOptions& o) {
   auto ssd = KvSsd::Open(o).value();
   RunSmallWorkload(*ssd, 200);
   ssd->Hooks().sampler->Finalize();
-  return {telemetry::ToPrometheusText(ssd->telemetry()),
-          telemetry::ToJsonl(ssd->telemetry())};
+  return {ssd->telemetry().ToPrometheusText(),
+          ssd->telemetry().ToJsonl()};
 }
 
 TEST(ControlDeviceTest, NullPolicyIsBitIdentical) {

@@ -26,7 +26,7 @@
 #include "common/random.h"
 #include "core/kvssd.h"
 #include "telemetry/attribution/attribution.h"
-#include "telemetry/export.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/fleet.h"
 
 namespace bandslim::telemetry {
@@ -131,8 +131,8 @@ DeviceDigests RunDevice(bool traced) {
   EXPECT_TRUE(ssd->Flush().ok());
   hooks.sampler->Finalize();
   EXPECT_GT(ssd->telemetry().samples_emitted(), 20u);
-  return {Fnv1a64(ToJsonl(ssd->telemetry())),
-          Fnv1a64(ToPrometheusText(ssd->telemetry()))};
+  return {Fnv1a64(ssd->telemetry().ToJsonl()),
+          Fnv1a64(ssd->telemetry().ToPrometheusText())};
 }
 
 // --- Fleet -------------------------------------------------------------------
@@ -185,7 +185,7 @@ FleetDigests RunFleet(bool traced) {
   return {Fnv1a64(fleet->fleet().ToJsonl()),
           Fnv1a64(fleet->fleet().ToPrometheusText()),
           Fnv1a64(fleet->fleet().ShardsJsonl()),
-          Fnv1a64(ToJsonl(fleet->shard(0).telemetry()))};
+          Fnv1a64(fleet->shard(0).telemetry().ToJsonl())};
 }
 
 // --- Attribution -------------------------------------------------------------

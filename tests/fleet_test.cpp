@@ -270,6 +270,23 @@ TEST(FleetWatchdogTest, UniformTrafficKeepsRulesSilent) {
 
 // --- Observation only --------------------------------------------------------
 
+// A zero fleet interval (or a zero device interval on the shards) is
+// rejected at Open rather than dividing by zero at the first routed op.
+TEST(FleetAggregatorTest, OpenRejectsZeroSampleInterval) {
+  ClusterConfig c = FleetCluster(2);
+  c.fleet.sample_interval_ns = 0;
+  auto opened = KvCluster::Open(c);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+
+  c = FleetCluster(2);
+  c.shard.telemetry.enabled = true;
+  c.shard.telemetry.sample_interval_ns = 0;
+  opened = KvCluster::Open(c);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FleetAggregatorTest, EnablingAggregatorChangesNoSimulatedOutcome) {
   const auto drive = [](KvCluster& fleet) {
     for (std::uint64_t i = 0; i < 200; ++i) {

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/kvssd.h"
-#include "telemetry/export.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/http_exporter.h"
 #include "workload/value_gen.h"
 
@@ -176,10 +176,10 @@ TEST(HttpExporterTest, DeviceScrapeMatchesInProcessExports) {
   // the exports rendered right now — the CI gate's core invariant.
   const auto metrics = HttpGet(server.port(), "/metrics");
   ASSERT_TRUE(metrics.ok());
-  EXPECT_EQ(metrics.value(), ToPrometheusText(ssd->telemetry()));
+  EXPECT_EQ(metrics.value(), ssd->telemetry().ToPrometheusText());
   const auto jsonl = HttpGet(server.port(), "/timeline.jsonl");
   ASSERT_TRUE(jsonl.ok());
-  EXPECT_EQ(jsonl.value(), ToJsonl(ssd->telemetry()));
+  EXPECT_EQ(jsonl.value(), ssd->telemetry().ToJsonl());
   ASSERT_NE(server.Current(), nullptr);
   EXPECT_EQ(server.Current()->sample_seq,
             ssd->telemetry().samples().back().seq);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/kvssd.h"
-#include "telemetry/export.h"
 #include "telemetry/telemetry.h"
 #include "workload/value_gen.h"
 
@@ -203,8 +202,8 @@ TEST(TelemetryDeviceTest, ExportsAreByteIdenticalAcrossRuns) {
     auto ssd = KvSsd::Open(o).value();
     RunSmallWorkload(*ssd, 200);
     ssd->Hooks().sampler->Finalize();
-    prom[run] = ToPrometheusText(ssd->telemetry());
-    jsonl[run] = ToJsonl(ssd->telemetry());
+    prom[run] = ssd->telemetry().ToPrometheusText();
+    jsonl[run] = ssd->telemetry().ToJsonl();
     csv[run] = ToTimeSeriesCsv(ssd->telemetry(), csv_series);
     sample_count = ssd->telemetry().samples().size();
   }
@@ -256,7 +255,7 @@ TEST(TelemetryDeviceTest, WatchdogFiresUnderFaultStormOnly) {
   EXPECT_GE(log.count(EventType::kRetryBackoff), 1u);
   EXPECT_GE(log.count(EventType::kAlert), 1u);
   // The alert is attributed to its rule in the JSONL stream.
-  EXPECT_NE(ToJsonl(faulty_ssd->telemetry()).find("\"rule\":\"retry_storm\""),
+  EXPECT_NE(faulty_ssd->telemetry().ToJsonl().find("\"rule\":\"retry_storm\""),
             std::string::npos);
 }
 
@@ -300,7 +299,7 @@ TEST(TelemetryDeviceTest, PowerCycleEmitsEventAndSamplingContinues) {
   EXPECT_EQ(log.count(EventType::kPowerCycle), 1u);
   // The sampler keeps running across the rebuilt device (rebound sources).
   EXPECT_GT(ssd->telemetry().samples_emitted(), before);
-  EXPECT_NE(ToJsonl(ssd->telemetry()).find("\"type\":\"power_cycle\""),
+  EXPECT_NE(ssd->telemetry().ToJsonl().find("\"type\":\"power_cycle\""),
             std::string::npos);
 }
 
@@ -432,7 +431,7 @@ TEST_F(SamplerUnitTest, EventAtSampleBoundaryOrdersBeforeSampleAlertAfter) {
   ASSERT_EQ(sampler.event_log().records().size(), 2u);  // timeout + alert.
   EXPECT_EQ(sampler.samples().back().events_before, 1u);
 
-  const std::string jsonl = ToJsonl(sampler);
+  const std::string jsonl = sampler.ToJsonl();
   const std::size_t timeout_at = jsonl.find("\"type\":\"timeout\"");
   const std::size_t sample_at = jsonl.find("\"kind\":\"sample\"");
   const std::size_t alert_at = jsonl.find("\"type\":\"alert\"");
@@ -452,23 +451,21 @@ class RecordingSink : public SnapshotSink {
 };
 
 TEST_F(SamplerUnitTest, PublishCadenceAndFinalizeAlwaysPublish) {
-  TelemetryConfig cfg;
-  cfg.publish_every = 2;
-  Sampler sampler = MakeSampler(cfg);
+  Sampler sampler = MakeSampler({});
   RecordingSink sink;
   sampler.SetSink(&sink);
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
 
-  for (int i = 0; i < 5; ++i) {
+  for (std::uint64_t i = 0; i <= 2 * kPublishEvery; ++i) {
     ops->Add(1);
     clock_.Advance(sim::kMillisecond);
     sampler.Poll();
   }
-  // Samples seq 0..4; cadence 2 publishes seq 0, 2, 4.
+  // Samples seq 0..128; cadence 64 publishes seq 0, 64, 128.
   ASSERT_EQ(sink.published.size(), 3u);
   EXPECT_EQ(sink.published[0]->sample_seq, 0u);
-  EXPECT_EQ(sink.published[1]->sample_seq, 2u);
-  EXPECT_EQ(sink.published[2]->sample_seq, 4u);
+  EXPECT_EQ(sink.published[1]->sample_seq, kPublishEvery);
+  EXPECT_EQ(sink.published[2]->sample_seq, 2 * kPublishEvery);
 
   // Finalize publishes its off-cadence closing sample exactly once, and the
   // published bytes equal the exports rendered at the same point.
@@ -476,16 +473,60 @@ TEST_F(SamplerUnitTest, PublishCadenceAndFinalizeAlwaysPublish) {
   clock_.Advance(sim::kMillisecond / 2);
   sampler.Finalize();
   ASSERT_EQ(sink.published.size(), 4u);
-  EXPECT_EQ(sink.published.back()->sample_seq, 5u);
-  EXPECT_EQ(sink.published.back()->metrics_text, ToPrometheusText(sampler));
-  EXPECT_EQ(sink.published.back()->timeline_jsonl, ToJsonl(sampler));
+  EXPECT_EQ(sink.published.back()->sample_seq, 2 * kPublishEvery + 1);
+  EXPECT_EQ(sink.published.back()->metrics_text, sampler.ToPrometheusText());
+  EXPECT_EQ(sink.published.back()->timeline_jsonl, sampler.ToJsonl());
   EXPECT_NE(sink.published.back()->healthz_json.find("\"status\":\"ok\""),
             std::string::npos);
 
   // Repeated Finalize: no duplicate closing sample AND no duplicate publish.
   sampler.Finalize();
-  EXPECT_EQ(sampler.samples().size(), 6u);
+  EXPECT_EQ(sampler.samples().size(), 2 * kPublishEvery + 2);
   EXPECT_EQ(sink.published.size(), 4u);
+}
+
+// The sample ring keeps the newest kSampleCapacity samples: one sample past
+// capacity evicts seq 0, is counted as dropped, and both exports still
+// render every retained sample as one well-formed line.
+TEST_F(SamplerUnitTest, SampleRingOverflowDropsOldest) {
+  Sampler sampler = MakeSampler({});
+  stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
+  for (std::size_t i = 0; i <= kSampleCapacity; ++i) {
+    ops->Add(1);
+    clock_.Advance(sim::kMillisecond);
+    sampler.Poll();
+  }
+  EXPECT_EQ(sampler.samples_emitted(), kSampleCapacity + 1);
+  EXPECT_EQ(sampler.dropped_samples(), 1u);
+  ASSERT_EQ(sampler.samples().size(), kSampleCapacity);
+  EXPECT_EQ(sampler.samples().front().seq, 1u);
+  EXPECT_EQ(sampler.samples().back().seq, kSampleCapacity);
+
+  const std::string jsonl = sampler.ToJsonl();
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(jsonl.begin(), jsonl.end(), '\n')),
+            kSampleCapacity);
+  EXPECT_EQ(jsonl.rfind("{\"kind\":\"sample\",\"t_ns\":2000000,\"seq\":1,", 0),
+            0u);
+  EXPECT_EQ(jsonl.back(), '\n');
+  const std::string prom = sampler.ToPrometheusText();
+  EXPECT_NE(prom.find("bandslim_telemetry_samples_total 65537\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("bandslim_delta_ops 1 65537\n"), std::string::npos);
+}
+
+// An enabled plane with a zero sample interval has no grid to stamp on;
+// Open rejects it instead of dividing by zero at the first sample.
+TEST(TelemetryDeviceTest, OpenRejectsZeroSampleInterval) {
+  KvSsdOptions o;
+  o.telemetry.enabled = true;
+  o.telemetry.sample_interval_ns = 0;
+  const auto opened = KvSsd::Open(o);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  // A disabled plane never samples, so its interval is not checked.
+  o.telemetry.enabled = false;
+  EXPECT_TRUE(KvSsd::Open(o).ok());
 }
 
 // --------------------- LSM series and compaction alerts ---------------------
@@ -577,7 +618,7 @@ TEST(TelemetryDeviceTest, CompactionStormFiresLsmRulesCleanRunSilent) {
   EXPECT_EQ(log.count(EventType::kCompactionStart),
             log.count(EventType::kCompactionEnd));
   // The new event types serialize with their names.
-  const std::string jsonl = ToJsonl(ssd->telemetry());
+  const std::string jsonl = ssd->telemetry().ToJsonl();
   EXPECT_NE(jsonl.find("\"type\":\"compaction_start\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"type\":\"memtable_stall\""), std::string::npos);
 }
