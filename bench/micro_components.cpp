@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
-// skiplist MemTable, NAND page buffer packing, SSTable serialization.
+// hash-indexed MemTable, NAND page buffer packing, SSTable serialization.
 // These measure *simulator* (wall-clock) performance, not modeled device
 // time — they exist to keep the simulation itself fast.
 #include <benchmark/benchmark.h>

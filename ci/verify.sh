@@ -236,6 +236,18 @@ shard_scaling() {
 
 # One matrix leg's gates against an already-built tree. Sanitized runs are
 # slower, so the asan-ubsan leg scales the cluster workloads down.
+# Repository benchmark smoke run: one second per workload with per-layer
+# tracing. perfbench itself checks every GET against its key -> bytes model,
+# the determinism digest across passes and tracer exactness, and exits
+# nonzero on any violation. It builds its own tree (perfbench/run.py).
+perfbench_smoke() {
+  local w
+  for w in put_paper_m get_zipf_large cluster_observed campaign_4shard; do
+    echo "=== verify pass: perfbench smoke (${w}) ==="
+    python3 perfbench/run.py --workload "${w}" --seed 1 --seconds 1 --trace 1
+  done
+}
+
 leg_gates() {
   local leg="$1" build_dir="$2"
   local fleet_ops=2000 tenant_ops=3000 shard_ops=6000
@@ -251,6 +263,7 @@ leg_gates() {
   scrape_gate fleet "${build_dir}" "${fleet_ops}"
   scrape_gate tenant "${build_dir}" "${tenant_ops}"
   shard_scaling "${build_dir}" "${shard_ops}"
+  if [ "${leg}" = release ]; then perfbench_smoke; fi
 }
 
 if [ "${1:-}" = --gates ]; then

@@ -78,7 +78,7 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
   record.insert(record.end(), value.begin(), value.end());
   staging_.insert(staging_.end(), record.begin(), record.end());
   vlog_tail_ += record.size();
-  index_.Put(std::string(key), lsm::ValueRef{value_addr, vsize, false});
+  index_.Put(key, lsm::ValueRef{value_addr, vsize, false});
   ++puts_issued_;
   value_bytes_written_ += value.size();
 
@@ -103,16 +103,17 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
 }
 
 Result<Bytes> HostKvs::Get(std::string_view key) {
-  const lsm::ValueRef* ref = index_.Get(std::string(key));
-  if (ref == nullptr || ref->tombstone) return Status::NotFound();
-  Bytes out(ref->size);
+  const lsm::ValueRef* found = index_.Get(key);
+  if (found == nullptr || found->tombstone) return Status::NotFound();
+  const lsm::ValueRef ref = *found;
+  Bytes out(ref.size);
   const std::uint64_t staging_base = RoundDownPow2(synced_until_, kMemPageSize);
-  std::uint64_t addr = ref->addr;
+  std::uint64_t addr = ref.addr;
   std::size_t done = 0;
   // Device-resident prefix (below the page-cache image).
   if (addr < staging_base) {
     const std::uint64_t dev_end = std::min<std::uint64_t>(
-        staging_base, addr + ref->size);
+        staging_base, addr + ref.size);
     const std::uint64_t lba = addr / kMemPageSize;
     const std::uint64_t lba_end = CeilDiv(dev_end, kMemPageSize);
     Bytes blocks((lba_end - lba) * kMemPageSize);
@@ -147,7 +148,7 @@ Status HostKvs::Delete(std::string_view key) {
   }
   staging_.insert(staging_.end(), record.begin(), record.end());
   vlog_tail_ += record.size();
-  index_.Delete(std::string(key));
+  index_.Delete(key);
   if (config_.fsync_each_put) return SyncTail();
   return Status::Ok();
 }

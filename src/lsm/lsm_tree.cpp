@@ -204,7 +204,7 @@ Status LsmTree::FlushMemTable() {
   std::vector<SSTableEntry> entries;
   entries.reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    entries.push_back({it.key(), it.ref()});
+    entries.push_back({std::string(it.key()), it.ref()});
   }
   auto meta = WriteSSTable(ftl_, next_table_id_++, next_lpn_, entries);
   if (!meta.ok()) {
@@ -528,7 +528,7 @@ Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
   std::vector<SSTableEntry> mem_run;
   mem_run.reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    mem_run.push_back({it.key(), it.ref()});
+    mem_run.push_back({std::string(it.key()), it.ref()});
   }
   std::vector<const std::vector<SSTableEntry>*> runs;
   std::vector<std::shared_ptr<const std::vector<SSTableEntry>>> keepalive;

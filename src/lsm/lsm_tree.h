@@ -1,8 +1,16 @@
 // The in-device LSM-tree with key-value separation (Sections 2.1, 3.4):
-// a skiplist MemTable over (key -> vLog reference) entries, flushed to
-// leveled SSTables stored on NAND through the FTL. Compactions merge
-// reference entries only — values stay in the vLog — but their NAND I/O is
-// real and shows up in the write-amplification figures (Section 2.4).
+// a MemTable over (key -> vLog reference) entries, flushed to leveled
+// SSTables stored on NAND through the FTL. Compactions merge reference
+// entries only — values stay in the vLog — but their NAND I/O is real and
+// shows up in the write-amplification figures (Section 2.4).
+//
+// The MemTable (memtable.h) is a hash index over packed entries: Put and Get
+// cost one hash and a probe or two, and key order is built by a sort only
+// when a flush or NewIterator walks it. Its approximate_bytes() models a
+// skiplist node per key, with tower heights drawn from the seeded stream
+// once per new key, and sets when a flush happens; a ValueRef pointer from
+// MemTable::Get lives only until the next MemTable write, so Get copies it
+// out at once.
 #pragma once
 
 #include <cstdint>

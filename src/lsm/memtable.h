@@ -1,14 +1,32 @@
 // MemTable: the in-memory component of the device LSM-tree (Figure 2),
-// mapping keys to vLog value references. Implemented as a classic skiplist
-// with deterministic (seeded) tower heights so runs reproduce exactly.
-// Entries are (key -> address, size) — values themselves live in the vLog;
-// this is the key-value separation the paper builds on (Section 2.1).
+// mapping keys to vLog value references. Entries are (key -> address, size)
+// — values themselves live in the vLog; this is the key-value separation the
+// paper builds on (Section 2.1).
+//
+// Layout: a packed entry array plus an open-addressing hash index. Each key
+// (at most kMaxKeySize = 16 bytes) is stored zero-padded as two 64-bit words
+// next to its ValueRef; a power-of-two table of u32 entry numbers (load
+// factor <= 1/2, linear probing, a fixed hash) finds it with one hash and
+// one or two probes. Key order is built only when iterated: Begin() sorts
+// one record per entry by the padded key read as two big-endian words, then
+// by length — exactly std::string (memcmp) order — and reuses that order
+// until the next new key.
+//
+// Footprint model: approximate_bytes() models a skiplist node per key (key
+// bytes, ValueRef, node header and a tower of seeded geometric height), the
+// table's original layout. Tower heights are drawn from the seeded stream
+// once per new key — none on overwrite, one on a tombstone insert — because
+// approximate_bytes() sets when LsmTree flushes and hence every simulated
+// time downstream: the representation may change, the numbers feeding the
+// clock may not.
+//
+// Clear() keeps every capacity, so once the table has grown to its working
+// size, inserts allocate nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -25,71 +43,78 @@ struct ValueRef {
 
 class MemTable {
  private:
-  struct Node {
-    std::string key;
-    // First 8 key bytes, big-endian, zero-padded: a single integer compare
-    // orders two nodes whenever their prefixes differ (zero-padded
-    // big-endian prefix order agrees with lexicographic order in that
-    // case); the search loop falls back to a full key compare only on a
-    // prefix tie.
-    std::uint64_t key_prefix = 0;
+  struct Entry {
+    // The key's bytes, zero-padded to kMaxKeySize, in memory order.
+    std::array<std::uint64_t, 2> words;
     ValueRef ref;
-    // Tower of forward pointers, inline in the node: the search loop then
-    // costs one pointer chase per step instead of two (node -> heap tower
-    // -> next node). Slots above the node's drawn height stay null and are
-    // never followed. approximate_bytes() still accounts the drawn height,
-    // not this fixed array, so flush thresholds are unchanged.
-    std::array<Node*, 12> next{};
+    std::uint8_t len;
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(words.data()), len};
+    }
+  };
+  static_assert(sizeof(Entry::words) == kMaxKeySize);
+  // One entry's place in key order: its padded key as big-endian words, so
+  // the sort compares contiguous integers rather than chasing entries.
+  struct OrderKey {
+    std::uint64_t hi;
+    std::uint64_t lo;
+    std::uint32_t len;
+    std::uint32_t entry;
   };
 
  public:
   explicit MemTable(std::uint64_t seed = 0x5eed);
 
-  // Inserts or overwrites.
-  void Put(const std::string& key, const ValueRef& ref);
-  void Delete(const std::string& key) { Put(key, ValueRef{0, 0, true}); }
+  // Inserts or overwrites. `key` is at most kMaxKeySize bytes.
+  void Put(std::string_view key, const ValueRef& ref);
+  void Delete(std::string_view key) { Put(key, ValueRef{0, 0, true}); }
 
-  // Returns the entry (including tombstones) or nullptr.
-  const ValueRef* Get(const std::string& key) const;
+  // Returns the entry (including tombstones) or nullptr. The pointer is
+  // valid only until the next Put, Delete or Clear.
+  const ValueRef* Get(std::string_view key) const;
 
-  std::size_t entry_count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  // Approximate DRAM footprint: keys + refs + tower pointers.
+  std::size_t entry_count() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  // Modelled DRAM footprint: a skiplist node per key (see above).
   std::size_t approximate_bytes() const { return approx_bytes_; }
 
   void Clear();
 
-  // Forward iteration in key order, starting at the first key >= `from`.
+  // Forward iteration in key order; valid until the next Put, Delete or
+  // Clear.
   class Iterator {
    public:
-    bool Valid() const { return node_ != nullptr; }
-    const std::string& key() const { return node_->key; }
-    const ValueRef& ref() const { return node_->ref; }
-    void Next() { node_ = node_->next[0]; }
+    bool Valid() const { return pos_ != end_; }
+    std::string_view key() const { return entries_[pos_->entry].key(); }
+    const ValueRef& ref() const { return entries_[pos_->entry].ref; }
+    void Next() { ++pos_; }
 
    private:
     friend class MemTable;
-    explicit Iterator(const Node* node) : node_(node) {}
-    const Node* node_;
+    Iterator(const Entry* entries, const OrderKey* pos, const OrderKey* end)
+        : entries_(entries), pos_(pos), end_(end) {}
+    const Entry* entries_;
+    const OrderKey* pos_;
+    const OrderKey* end_;
   };
-  Iterator Seek(const std::string& from) const;
-  Iterator Begin() const { return Iterator(head_->next[0]); }
+  // Sorts the entries unless no key was added since the last call.
+  Iterator Begin();
 
  private:
-  static constexpr int kMaxHeight = 12;
-  static_assert(kMaxHeight == std::tuple_size<decltype(Node::next)>::value,
-                "tower array must cover every level");
+  static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
 
   int RandomHeight();
-  static std::uint64_t PrefixOf(const std::string& key);
-  // First node with key >= `key`; when `prev` is non-null it receives the
-  // last node with key < `key` at every level.
-  Node* FindGreaterOrEqual(const std::string& key, Node** prev) const;
+  // Index of the slot holding `words`/`len`, or of the empty slot that ends
+  // its probe sequence.
+  std::size_t FindSlot(const std::array<std::uint64_t, 2>& words,
+                       std::size_t len) const;
+  void Grow();
 
-  std::unique_ptr<Node> head_;
-  std::vector<std::unique_ptr<Node>> arena_;
-  int height_ = 1;
-  std::size_t count_ = 0;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;  // Entry numbers; kEmptySlot if free.
+  // Entries in key order; stale when shorter than entries_ (entries are
+  // only appended between Clears).
+  std::vector<OrderKey> order_;
   std::size_t approx_bytes_ = 0;
   Xoshiro256 rng_;
 };

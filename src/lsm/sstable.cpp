@@ -33,7 +33,7 @@ Status GetU64(ByteSpan data, std::size_t* offset, std::uint64_t* v) {
   return Status::Ok();
 }
 
-void PutLengthPrefixed(Bytes* out, const std::string& s) {
+void PutLengthPrefixed(Bytes* out, std::string_view s) {
   out->push_back(static_cast<std::uint8_t>(s.size()));
   out->insert(out->end(), s.begin(), s.end());
 }

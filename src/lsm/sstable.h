@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -82,7 +83,7 @@ void PutU32(Bytes* out, std::uint32_t v);
 void PutU64(Bytes* out, std::uint64_t v);
 Status GetU32(ByteSpan data, std::size_t* offset, std::uint32_t* v);
 Status GetU64(ByteSpan data, std::size_t* offset, std::uint64_t* v);
-void PutLengthPrefixed(Bytes* out, const std::string& s);
+void PutLengthPrefixed(Bytes* out, std::string_view s);
 Status GetLengthPrefixed(ByteSpan data, std::size_t* offset, std::string* s);
 
 }  // namespace bandslim::lsm

@@ -3,8 +3,9 @@
 //
 // This binary also replaces the global allocator with a counting wrapper,
 // so it can prove the hot-path allocation contracts (DESIGN.md §2.6): a
-// reserved engine schedules without touching the heap, and steady-state
-// PUT/GET against an assembled device performs zero allocations per op.
+// reserved engine schedules without touching the heap, a cleared MemTable
+// refills without touching it, and steady-state PUT/GET against an
+// assembled device performs zero allocations per op.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "cluster/kv_cluster.h"
 #include "common/types.h"
 #include "core/kvssd.h"
+#include "lsm/memtable.h"
 #include "sim/event_engine.h"
 #include "telemetry/attribution/attribution.h"
 #include "telemetry/fleet.h"
@@ -259,6 +261,42 @@ TEST(EventEngineTest, ReservedEngineSchedulesWithoutAllocating) {
 
 namespace bandslim {
 namespace {
+
+// Clear() keeps the MemTable's entry, index and order capacity: refilling a
+// cleared table with as many keys — all of them new to it — allocates
+// nothing, so a device's MemTable stops touching the heap after its first
+// flush.
+TEST(SteadyStateAllocationTest, ClearedMemTableRefillsWithoutAllocating) {
+  constexpr int kKeys = 5000;
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  for (int i = 0; i < kKeys; ++i) {
+    first.push_back("a" + std::to_string(i));
+    second.push_back("b" + std::to_string(i) + "-second");
+  }
+  lsm::MemTable mem;
+  for (int i = 0; i < kKeys; ++i) {
+    mem.Put(first[static_cast<std::size_t>(i)],
+            lsm::ValueRef{static_cast<std::uint64_t>(i), 1, false});
+  }
+  std::size_t visited = 0;
+  for (auto it = mem.Begin(); it.Valid(); it.Next()) ++visited;
+  ASSERT_EQ(visited, static_cast<std::size_t>(kKeys));
+  mem.Clear();
+
+  AllocCounter allocs;
+  for (int i = 0; i < kKeys; ++i) {
+    mem.Put(second[static_cast<std::size_t>(i)],
+            lsm::ValueRef{static_cast<std::uint64_t>(i), 2, false});
+  }
+  const std::uint64_t delta = allocs.delta();
+  EXPECT_EQ(mem.entry_count(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(mem.Get(first[0]), nullptr);
+  ASSERT_NE(mem.Get(second[0]), nullptr);
+  if (kStrictAllocChecks) {
+    EXPECT_EQ(delta, 0u) << "refilling a cleared MemTable must not allocate";
+  }
+}
 
 // Steady-state hot-path contract over the fully assembled device: once every
 // key exists and every pool/scratch has its working capacity, PUT

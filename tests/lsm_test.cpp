@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "lsm/compaction.h"
 #include "lsm/lsm_tree.h"
@@ -48,17 +51,6 @@ TEST(MemTableTest, IterationIsSorted) {
   EXPECT_EQ(count, 1000);
 }
 
-TEST(MemTableTest, SeekFindsLowerBound) {
-  MemTable mem;
-  mem.Put("apple", {1, 1, false});
-  mem.Put("cherry", {2, 1, false});
-  auto it = mem.Seek("banana");
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.key(), "cherry");
-  auto past = mem.Seek("zebra");
-  EXPECT_FALSE(past.Valid());
-}
-
 TEST(MemTableTest, MatchesReferenceModel) {
   MemTable mem(7);
   std::map<std::string, std::uint64_t> model;
@@ -92,6 +84,89 @@ TEST(MemTableTest, ClearResets) {
   EXPECT_EQ(mem.approximate_bytes(), 0u);
   mem.Put("b", {2, 2, false});  // Usable after Clear.
   EXPECT_NE(mem.Get("b"), nullptr);
+}
+
+// Keys the hashed, zero-padded encoding must keep apart and order exactly as
+// std::string does: embedded NULs and keys that are NUL-extensions of one
+// another (equal once padded, told apart by length), high bytes 0x80-0xFF
+// (unsigned order), full-width 16-byte keys differing in the last byte only,
+// and 4-byte binary keys as Workload M issues. Put, overwrite and Delete are
+// mixed over several Clear() cycles against a std::map model.
+TEST(MemTableTest, EncodingEdgeCasesMatchMapModel) {
+  std::vector<std::string> keys = {"ab", "b"};
+  for (int b = 0x7e; b <= 0xff; b += 3) {
+    keys.emplace_back(1, static_cast<char>(b));
+    keys.push_back(std::string("k") + static_cast<char>(b) + "z");
+  }
+  for (int last = 0; last < 256; last += 17) {
+    std::string k = "0123456789abcde";
+    k.push_back(static_cast<char>(last));
+    keys.push_back(k);
+    k[7] = '\xff';
+    keys.push_back(k);
+  }
+  // Every length 1..16: prefixes of one mixed-byte key, all-0xFF keys, and
+  // two families whose members all pad to the same words ("\0"..., "a\0"...).
+  const std::string mixed = std::string("\x01\x80\x7f\xfe") + "abcdefghijkl";
+  for (std::size_t len = 1; len <= kMaxKeySize; ++len) {
+    keys.push_back(mixed.substr(0, len));
+    keys.emplace_back(len, '\xff');
+    keys.emplace_back(len, '\0');
+    keys.push_back("a" + std::string(len - 1, '\0'));
+  }
+  for (std::uint32_t v : {0u, 1u, 0x80u, 0xffu, 0x100u, 0x80000000u,
+                          0xffffffffu, 0x00ff00ffu, 0x7fffffffu}) {
+    std::string k(4, '\0');
+    for (int i = 0; i < 4; ++i) {
+      k[static_cast<std::size_t>(i)] = static_cast<char>(v >> (24 - 8 * i));
+    }
+    keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  MemTable mem(5);
+  Xoshiro256 rng(17);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    std::map<std::string, ValueRef> model;
+    for (int i = 0; i < 600; ++i) {
+      // A mid-cycle iteration caches an order the later inserts must drop.
+      if (i == 300) (void)mem.Begin();
+      const std::string& key = keys[rng.Below(keys.size())];
+      if (rng.Below(4) == 0) {
+        mem.Delete(key);
+        model[key] = ValueRef{0, 0, true};
+      } else {
+        const ValueRef ref{rng(), static_cast<std::uint32_t>(i), false};
+        mem.Put(key, ref);
+        model[key] = ref;
+      }
+    }
+    EXPECT_EQ(mem.entry_count(), model.size());
+    EXPECT_EQ(mem.Get(""), nullptr);
+    for (const std::string& key : keys) {
+      const ValueRef* got = mem.Get(key);
+      auto want = model.find(key);
+      if (want == model.end()) {
+        EXPECT_EQ(got, nullptr) << "cycle " << cycle;
+        continue;
+      }
+      ASSERT_NE(got, nullptr) << "cycle " << cycle;
+      EXPECT_EQ(got->addr, want->second.addr);
+      EXPECT_EQ(got->size, want->second.size);
+      EXPECT_EQ(got->tombstone, want->second.tombstone);
+    }
+    auto it = mem.Begin();
+    for (const auto& [key, ref] : model) {
+      ASSERT_TRUE(it.Valid());
+      EXPECT_EQ(it.key(), key) << "cycle " << cycle;
+      EXPECT_EQ(it.ref().addr, ref.addr);
+      it.Next();
+    }
+    EXPECT_FALSE(it.Valid());
+    mem.Clear();
+    EXPECT_TRUE(mem.empty());
+  }
 }
 
 // --------------------------- SSTable ---------------------------------------
