@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
     o.driver.method = method;
     auto ssd = KvSsd::Open(o).value();
     auto spec = workload::MakeWorkloadM(args.ops);
-    auto r = workload::RunPutWorkload(*ssd, spec, driver::MethodName(method));
+    auto r = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                 spec.name, driver::MethodName(method));
     std::printf("%-18s | %9.1f us/op | %7.1f Kops/s | %8.3f GB | loss window: 0 ops\n",
                 driver::MethodName(method), r.MeanResponseUs(), r.KopsPerSec(),
                 ScaledGB(args, r.TrafficPerOpBytes()));

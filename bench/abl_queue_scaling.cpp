@@ -1,6 +1,6 @@
 // Ablation: NVMe queue-pair scaling. The paper's passthrough path drives
 // one submission queue synchronously; this bench shards the same PUT
-// sequence across 1..8 queue pairs (workload runner multi-stream mode) and
+// sequence across 1..8 queue pairs (the runner's queue lanes) and
 // crosses that with the NAND dispatch mode. With synchronous NAND the
 // device serializes everything and extra queues buy little; with the
 // channel/way scheduler + die-striped FTL allocation the modeled throughput
@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
       const auto wall_start = std::chrono::steady_clock::now();
       const auto r =
-          workload::RunShardedPutWorkload(*ssd, spec, queues, "scaling");
+          workload::RunQueueLanes(*ssd, workload::PutOps(spec),
+                                  queues, spec.name, "scaling");
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         wall_start)

@@ -45,7 +45,7 @@ bool CheckSingleShardAnchor(const KvSsdOptions& shard_options,
   auto bare = KvSsd::Open(shard_options).value();
   if (!workload::PreloadMixedKeys(*bare, spec).ok()) return false;
   const workload::RunResult device =
-      workload::RunMixedWorkload(*bare, spec, "bare");
+      workload::RunSerial(*bare, workload::MixedOps(spec), spec.name, "bare");
 
   auto fleet = cluster::KvCluster::Open(MakeCluster(shard_options, 1)).value();
   if (!workload::PreloadMixedKeys(*fleet, spec).ok()) return false;

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   for (std::size_t kb = 1; kb <= 16; ++kb) {
     auto ssd = KvSsd::Open(options).value();
     auto spec = workload::MakeWorkloadA(kb * 1024, args.ops);
-    auto r = workload::RunPutWorkload(*ssd, spec, "Baseline");
+    auto r = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                 spec.name, "Baseline");
     const double nand_per_op =
         static_cast<double>(r.delta.nand_pages_programmed) /
         static_cast<double>(r.ops);
@@ -34,7 +35,8 @@ int main(int argc, char** argv) {
   for (std::size_t size : {32u, 64u, 128u, 256u, 512u, 1024u}) {
     auto ssd = KvSsd::Open(options).value();
     auto spec = workload::MakeWorkloadA(size, args.ops);
-    auto r = workload::RunPutWorkload(*ssd, spec, "Baseline");
+    auto r = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                 spec.name, "Baseline");
     std::printf("%8s %12.1f\n", SizeLabel(size), r.WriteAmplification());
   }
   std::printf("\npaper: WAF 129.9 / 64.9 / 32.4 / 16.2 / 8.1 / 4.0 — WAF "

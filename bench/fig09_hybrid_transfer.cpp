@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
       o.driver.method = method;
       auto ssd = KvSsd::Open(o).value();
       auto spec = workload::MakeWorkloadA(size, args.ops);
-      r[i++] = workload::RunPutWorkload(*ssd, spec, driver::MethodName(method));
+      r[i++] = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                   spec.name, driver::MethodName(method));
     }
     std::printf("%9s | %11.3f %11.3f %11.3f | %11.1f %11.1f %11.1f\n",
                 SizeLabel(t), ScaledGB(args, r[0].TrafficPerOpBytes()),

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
       o.buffer.policy = c.policy;
       auto ssd = KvSsd::Open(o).value();
       auto spec = workload::MakeWorkloadA(size, args.ops);
-      auto r = workload::RunPutWorkload(*ssd, spec, c.name);
+      auto r = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                   spec.name, c.name);
       const double nand_per_op =
           static_cast<double>(r.delta.nand_pages_programmed) /
           static_cast<double>(r.ops);

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
       o.buffer.policy = policy;
       auto ssd = KvSsd::Open(o).value();
       auto spec = factory(args.ops);
-      auto r = workload::RunPutWorkload(*ssd, spec, buffer::PolicyName(policy));
+      auto r = workload::RunSerial(*ssd, workload::PutOps(spec),
+                                   spec.name, buffer::PolicyName(policy));
       const double nand_per_op =
           static_cast<double>(r.delta.nand_pages_programmed) /
           static_cast<double>(r.ops);

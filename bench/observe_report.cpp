@@ -634,7 +634,7 @@ struct ClusterRun {
   std::vector<std::map<std::string, std::uint64_t>> counters;  // Per shard.
   StoreSnapshot snap;
   // Tenant scenario only.
-  workload::BlendRunResult result;
+  workload::RunResult result;
   telemetry::attribution::AttributionPlane::SloState victim_slo;
   std::uint64_t victim_bad = 0;
 };
@@ -1083,8 +1083,9 @@ ClusterRun RunBlend(std::uint64_t ops, bool storm, bool enabled,
     Fail("preload: " + preloaded.ToString());
     return Collect(*fleet, /*tenant=*/true);
   }
-  const workload::BlendRunResult result =
-      workload::RunTenantBlendWorkload(*fleet, blend, "blend");
+  const workload::RunResult result =
+      workload::RunSerial(workload::TenantSurfaces(*fleet),
+                          workload::BlendOps(blend), "blend", "blend");
   if (result.workload.find("FAILED") != std::string::npos) {
     Fail("blend: " + result.workload);
   }

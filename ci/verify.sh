@@ -49,6 +49,27 @@ trace_export() {
   fi
 }
 
+# Trace round trip: a generator run dumped as a trace replays through the
+# serial executor as the same 2000 PUTs, and a malformed PUT size is
+# rejected with exit 1 before anything is replayed.
+trace_roundtrip() {
+  local build_dir="$1"
+  echo "=== verify pass: trace round trip (${build_dir}) ==="
+  local trace="${build_dir}/roundtrip.trace" out rc=0
+  "${build_dir}/examples/db_bench" --workload=M --ops=2000 \
+    --dump_trace="${trace}"
+  out="$("${build_dir}/examples/db_bench" --replay="${trace}")"
+  echo "${out}"
+  grep -q ": 2000 puts," <<< "${out}"
+  printf 'put 6b -1\n' > "${trace}.bad"
+  "${build_dir}/examples/db_bench" --replay="${trace}.bad" || rc=$?
+  if [ "${rc}" -ne 1 ]; then
+    echo "malformed trace: expected exit 1, got ${rc}"
+    return 1
+  fi
+  echo "trace round trip: 2000 PUTs replayed, malformed size rejected"
+}
+
 # Prometheus text exposition 0.0.4: promtool when installed, else the line
 # grammar (comment lines, or metric_name[{labels}] value [timestamp_ms]).
 check_exposition() {
@@ -258,6 +279,7 @@ leg_gates() {
   esac
   fault_campaign "${build_dir}"
   trace_export "${build_dir}"
+  trace_roundtrip "${build_dir}"
   scrape_gate device "${build_dir}" 2000
   scrape_gate control "${build_dir}" 2000
   scrape_gate fleet "${build_dir}" "${fleet_ops}"

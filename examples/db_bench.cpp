@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", dump_trace.c_str());
       return 1;
     }
-    workload::WriteTrace(workload::TraceFromSpec(spec), out);
+    workload::WriteTrace(workload::PutOps(spec), out);
     std::printf("wrote %llu-op trace to %s\n",
                 static_cast<unsigned long long>(spec.ops), dump_trace.c_str());
     return 0;
@@ -122,12 +122,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad trace: %s\n", trace.status().ToString().c_str());
       return 1;
     }
-    auto rr = workload::ReplayTrace(*device.value(), trace.value());
-    if (!rr.ok()) {
-      std::fprintf(stderr, "replay failed: %s\n", rr.status().ToString().c_str());
+    const workload::RunResult r = workload::RunSerial(
+        *device.value(), trace.value(), replay, "db_bench");
+    if (r.workload.find("FAILED") != std::string::npos) {
+      std::fprintf(stderr, "replay failed: %s\n", r.workload.c_str());
       return 1;
     }
-    const auto& r = rr.value();
     std::printf("replayed %s: %llu puts, %llu gets (%llu misses), %llu dels "
                 "in %.2f ms virtual\n",
                 replay.c_str(), static_cast<unsigned long long>(r.puts),
@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto result = workload::RunPutWorkload(*device.value(), spec, "db_bench");
+  auto result = workload::RunSerial(*device.value(), workload::PutOps(spec),
+                                    spec.name, "db_bench");
 
   std::printf("workload          : %s\n", result.workload.c_str());
   std::printf("transfer method   : %s\n", driver::MethodName(options.driver.method));

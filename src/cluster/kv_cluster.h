@@ -137,7 +137,7 @@ class KvCluster : public KvStore {
   KvStore& Tenant(std::size_t tenant);
 
   // Pulls the router clock up to the latest shard-local time. For harnesses
-  // (the cluster workload runner) that drive shards directly in parallel
+  // (the runner's shard lanes) that drive shards directly in parallel
   // time frames and must hand a consistent timeline back to the router.
   void SyncClockToShards();
 

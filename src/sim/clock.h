@@ -33,7 +33,7 @@ class VirtualClock {
   }
 
   // Enters an arbitrary time frame — may move the clock BACKWARD. Reserved
-  // for the multi-queue machinery (EventEngine, sharded workload runner)
+  // for the multi-queue machinery (EventEngine, the runner's queue lanes)
   // which interleaves per-stream time frames; all shared resource timelines
   // are absolute, so bookings stay consistent across frames.
   void SetTime(Nanoseconds t) { now_ns_ = t; }

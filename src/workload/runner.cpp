@@ -1,9 +1,7 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <functional>
 
 #include "sim/event_engine.h"
 #include "workload/key_gen.h"
@@ -38,175 +36,16 @@ KvSsdStats StatsDelta(const KvSsdStats& after, const KvSsdStats& before) {
   return d;
 }
 
-RunResult RunPutWorkload(KvStore& store, const WorkloadSpec& spec,
-                         const std::string& config_label) {
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
-
-  Xoshiro256 rng(spec.seed);
-  Bytes value(spec.sizes->MaxSize(), 0xA5);
-  spec.keys->Reset();
-
-  const KvSsdStats before = store.GetStats();
-  const sim::Nanoseconds start = store.Now();
-
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    const std::string key = spec.keys->Next();
-    const std::size_t size = spec.sizes->Next(rng);
-    // Stamp the op index so payloads differ without a full refill.
-    for (int b = 0; b < 8 && static_cast<std::size_t>(b) < size; ++b) {
-      value[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(i >> (8 * b));
-    }
-    const sim::Nanoseconds op_start = store.Now();
-    const Status st = store.Put(key, ByteSpan(value).subspan(0, size));
-    if (!st.ok()) {
-      // Surface failures loudly: a bench must not silently keep going.
-      result.workload += " [FAILED: " + st.ToString() + "]";
-      break;
-    }
-    result.latency_ns.Record(store.Now() - op_start);
-    result.requested_value_bytes += size;
-  }
-
-  result.elapsed_ns = store.Now() - start;
-  result.delta = StatsDelta(store.GetStats(), before);
-  return result;
-}
-
-RunResult RunShardedPutWorkload(KvSsd& ssd, const WorkloadSpec& spec,
-                                std::uint16_t num_streams,
-                                const std::string& config_label) {
-  assert(num_streams >= 1);
-  assert(num_streams <= ssd.options().num_queues);
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
-
-  // Pre-draw the op sequence in the exact order RunPutWorkload would, so a
-  // one-stream sharded run issues byte-identical PUTs.
-  struct Op {
-    std::string key;
-    std::size_t size = 0;
-  };
-  std::vector<Op> ops(spec.ops);
-  {
-    Xoshiro256 rng(spec.seed);
-    spec.keys->Reset();
-    for (std::uint64_t i = 0; i < spec.ops; ++i) {
-      ops[i].key = spec.keys->Next();
-      ops[i].size = spec.sizes->Next(rng);
-    }
-  }
-
-  // Stream s gets ops s, s+S, s+2S, ... and its own driver/queue pair;
-  // stream 0 rides the device's built-in queue-0 driver.
-  KvSsd::TestHooks hooks = ssd.Hooks();
-  std::vector<driver::KvDriver*> drivers(num_streams, hooks.driver);
-  for (std::uint16_t s = 1; s < num_streams; ++s) {
-    auto d = ssd.CreateQueueDriver(s, ssd.options().driver);
-    assert(d.ok());
-    drivers[s] = d.value();
-  }
-
-  sim::VirtualClock& clock = *hooks.clock;
-  const bool was_parallel = hooks.transport->parallel_arbitration();
-  hooks.transport->SetParallelArbitration(true);
-
-  const KvSsdStats before = ssd.GetStats();
-  const sim::Nanoseconds start = clock.Now();
-  sim::Nanoseconds latest_finish = start;
-  bool failed = false;
-
-  // One value buffer per stream: a stream's buffer must stay intact while
-  // other streams interleave between its fragments' submissions.
-  std::vector<Bytes> values(num_streams, Bytes(spec.sizes->MaxSize(), 0xA5));
-
-  sim::EventEngine engine(&clock);
-  // At most one in-flight turn per stream, so the heap and the callback
-  // arena never hold more than num_streams entries: pre-size both (plus
-  // slack for the drain buffer) so the run loop never grows them.
-  engine.Reserve(2u * num_streams + 4u);
-  // Each stream's turn runs one PUT in that stream's time frame, then books
-  // the stream's next turn at its new local time. The engine always picks
-  // the stream with the smallest local time (ties by schedule order), so
-  // the interleaving is deterministic.
-  std::function<void(std::uint16_t, std::uint64_t)> run_op =
-      [&](std::uint16_t stream, std::uint64_t index) {
-        if (failed) return;
-        const Op& op = ops[index];
-        Bytes& value = values[stream];
-        for (int b = 0; b < 8 && static_cast<std::size_t>(b) < op.size; ++b) {
-          value[static_cast<std::size_t>(b)] =
-              static_cast<std::uint8_t>(index >> (8 * b));
-        }
-        const sim::Nanoseconds op_start = clock.Now();
-        const Status st =
-            drivers[stream]->Put(op.key, ByteSpan(value).subspan(0, op.size));
-        if (!st.ok()) {
-          result.workload += " [FAILED: " + st.ToString() + "]";
-          failed = true;
-          return;
-        }
-        result.latency_ns.Record(clock.Now() - op_start);
-        result.requested_value_bytes += op.size;
-        latest_finish = std::max(latest_finish, clock.Now());
-        const std::uint64_t next = index + num_streams;
-        if (next < spec.ops) {
-          engine.Schedule(clock.Now(),
-                          [&run_op, stream, next] { run_op(stream, next); });
-        }
-      };
-  for (std::uint16_t s = 0; s < num_streams && s < spec.ops; ++s) {
-    const std::uint16_t stream = s;
-    engine.Schedule(start, [&run_op, stream] {
-      run_op(stream, stream);
-    });
-  }
-  engine.RunUntilIdle();
-
-  // Leave the clock at the run's end (the last event may have been an
-  // earlier-finishing stream's frame).
-  clock.SetTime(std::max(clock.Now(), latest_finish));
-  hooks.transport->SetParallelArbitration(was_parallel);
-
-  result.elapsed_ns = latest_finish - start;
-  result.delta = StatsDelta(ssd.GetStats(), before);
-  return result;
-}
-
-
-// --- Mixed read/write workloads --------------------------------------------
+// --- Sources ----------------------------------------------------------------
 
 namespace {
 
-struct MixedOp {
-  std::uint64_t key_index = 0;
-  bool is_get = false;
-};
+constexpr std::uint8_t kMixedFill = 0x5A;
 
-// Pre-draws the full op sequence in canonical order: the serial and the
-// cluster-parallel runner consume the SAME draws, so they issue identical
-// ops (only the time frames differ).
-std::vector<MixedOp> DrawMixedOps(const MixedWorkloadSpec& spec) {
-  std::vector<MixedOp> ops(spec.ops);
-  Xoshiro256 rng(spec.seed);
-  ZipfianKeyChooser zipf(spec.num_keys, spec.zipf_theta, spec.seed + 1);
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    ops[i].is_get = (rng() % 1000) < spec.get_permille;
-    ops[i].key_index =
-        spec.zipfian ? zipf.NextIndex() : rng() % spec.num_keys;
-  }
-  return ops;
-}
-
-// Stamps the key index into the value head so updates carry distinct bytes.
-void StampValue(Bytes* value, std::uint64_t key_index) {
-  for (int b = 0; b < 8 && static_cast<std::size_t>(b) < value->size(); ++b) {
-    (*value)[static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(key_index >> (8 * b));
+// Writes the low min(8, size) bytes of `stamp` into the value head.
+void Stamp(std::uint8_t* value, std::size_t size, std::uint64_t stamp) {
+  for (std::size_t b = 0; b < 8 && b < size; ++b) {
+    value[b] = static_cast<std::uint8_t>(stamp >> (8 * b));
   }
 }
 
@@ -218,6 +57,20 @@ std::string SpecKeyName(const MixedWorkloadSpec& spec, std::uint64_t index) {
 
 }  // namespace
 
+OpList PutOps(const WorkloadSpec& spec) {
+  OpList ops;
+  ops.reserve(spec.ops);
+  Xoshiro256 rng(spec.seed);
+  spec.keys->Reset();
+  for (std::uint64_t i = 0; i < spec.ops; ++i) {
+    Op& op = ops.emplace_back();
+    op.key = spec.keys->Next();
+    op.value_size = static_cast<std::uint32_t>(spec.sizes->Next(rng));
+    op.stamp = i;
+  }
+  return ops;
+}
+
 std::string MixedKeyName(std::uint64_t index) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "k%08llx",
@@ -226,135 +79,30 @@ std::string MixedKeyName(std::uint64_t index) {
 }
 
 Status PreloadMixedKeys(KvStore& store, const MixedWorkloadSpec& spec) {
-  Bytes value(spec.value_size, 0x5A);
+  Bytes value(spec.value_size, kMixedFill);
   for (std::uint64_t i = 0; i < spec.num_keys; ++i) {
-    StampValue(&value, i);
+    Stamp(value.data(), value.size(), i);
     BANDSLIM_RETURN_IF_ERROR(store.Put(SpecKeyName(spec, i), ByteSpan(value)));
   }
   return store.Flush();
 }
 
-RunResult RunMixedWorkload(KvStore& store, const MixedWorkloadSpec& spec,
-                           const std::string& config_label) {
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
-
-  const std::vector<MixedOp> ops = DrawMixedOps(spec);
-  Bytes value(spec.value_size, 0x5A);
-  Bytes got;
-
-  const KvSsdStats before = store.GetStats();
-  const sim::Nanoseconds start = store.Now();
-
-  for (const MixedOp& op : ops) {
-    const std::string key = SpecKeyName(spec, op.key_index);
-    const sim::Nanoseconds op_start = store.Now();
-    Status st = Status::Ok();
-    if (op.is_get) {
-      st = store.GetInto(key, &got);
-    } else {
-      StampValue(&value, op.key_index);
-      st = store.Put(key, ByteSpan(value));
-      result.requested_value_bytes += value.size();
-    }
-    if (!st.ok()) {
-      result.workload += " [FAILED: " + st.ToString() + "]";
-      break;
-    }
-    result.latency_ns.Record(store.Now() - op_start);
+OpList MixedOps(const MixedWorkloadSpec& spec) {
+  OpList ops;
+  ops.reserve(spec.ops);
+  Xoshiro256 rng(spec.seed);
+  ZipfianKeyChooser zipf(spec.num_keys, spec.zipf_theta, spec.seed + 1);
+  for (std::uint64_t i = 0; i < spec.ops; ++i) {
+    Op& op = ops.emplace_back();
+    const bool is_get = (rng() % 1000) < spec.get_permille;
+    op.stamp = spec.zipfian ? zipf.NextIndex() : rng() % spec.num_keys;
+    op.key = SpecKeyName(spec, op.stamp);
+    op.kind = is_get ? OpKind::kGet : OpKind::kPut;
+    op.value_size = is_get ? 0 : static_cast<std::uint32_t>(spec.value_size);
+    op.fill = kMixedFill;
   }
-
-  result.elapsed_ns = store.Now() - start;
-  result.delta = StatsDelta(store.GetStats(), before);
-  return result;
+  return ops;
 }
-
-RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
-                                  const MixedWorkloadSpec& spec,
-                                  const std::string& config_label) {
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
-
-  const std::vector<MixedOp> ops = DrawMixedOps(spec);
-
-  // Partition the canonical sequence by owner shard; each shard runs its
-  // sub-sequence as one closed-loop stream.
-  const std::uint32_t num_shards = cluster.num_shards();
-  std::vector<std::vector<std::uint64_t>> stream(num_shards);
-  for (std::uint64_t i = 0; i < ops.size(); ++i) {
-    stream[cluster.ShardOf(SpecKeyName(spec, ops[i].key_index))].push_back(i);
-  }
-
-  // Common dispatch barrier: every shard starts in the router's frame.
-  const sim::Nanoseconds start = cluster.Now();
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    cluster.shard(s).Hooks().clock->AdvanceTo(start);
-  }
-
-  const KvSsdStats before = cluster.GetStats();
-  sim::Nanoseconds latest_finish = start;
-  bool failed = false;
-
-  std::vector<Bytes> values(num_shards, Bytes(spec.value_size, 0x5A));
-  std::vector<Bytes> gots(num_shards);
-
-  // The engine orders stream turns by each shard's LOCAL time on a scratch
-  // clock; the shards themselves keep their own clocks. Shards share no
-  // simulated resources, so the interleaving affects only host-side append
-  // order (deterministic either way) — but it mirrors how a real multi-
-  // device host drains completions in global time order.
-  sim::VirtualClock scratch;
-  scratch.SetTime(start);
-  sim::EventEngine engine(&scratch);
-  engine.Reserve(2u * num_shards + 4u);
-  std::function<void(std::uint32_t, std::size_t)> run_op =
-      [&](std::uint32_t s, std::size_t pos) {
-        if (failed) return;
-        const MixedOp& op = ops[stream[s][pos]];
-        const std::string key = SpecKeyName(spec, op.key_index);
-        KvSsd& dev = cluster.shard(s);
-        const sim::Nanoseconds op_start = dev.Now();
-        Status st = Status::Ok();
-        if (op.is_get) {
-          st = dev.GetInto(key, &gots[s]);
-        } else {
-          StampValue(&values[s], op.key_index);
-          st = dev.Put(key, ByteSpan(values[s]));
-          result.requested_value_bytes += values[s].size();
-        }
-        if (!st.ok()) {
-          result.workload += " [FAILED: " + st.ToString() + "]";
-          failed = true;
-          return;
-        }
-        result.latency_ns.Record(dev.Now() - op_start);
-        latest_finish = std::max(latest_finish, dev.Now());
-        if (pos + 1 < stream[s].size()) {
-          engine.Schedule(dev.Now(), [&run_op, s, pos] { run_op(s, pos + 1); });
-        }
-      };
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (stream[s].empty()) continue;
-    const std::uint32_t shard = s;
-    engine.Schedule(start, [&run_op, shard] { run_op(shard, 0); });
-  }
-  engine.RunUntilIdle();
-
-  // Hand the router a consistent timeline: the run ends when the slowest
-  // shard finishes.
-  cluster.SyncClockToShards();
-
-  result.elapsed_ns = latest_finish - start;
-  result.delta = StatsDelta(cluster.GetStats(), before);
-  result.delta.elapsed_ns = result.elapsed_ns;
-  return result;
-}
-
-// --- Tenant blends ----------------------------------------------------------
 
 std::vector<std::uint16_t> DrawTenantInterleave(const TenantBlendSpec& spec) {
   std::uint64_t total = 0;
@@ -391,9 +139,9 @@ Status PreloadTenantBlend(cluster::KvCluster& cluster,
   // lands in the attribution plane's untagged residual, exactly like any
   // other background/setup work.
   for (const MixedWorkloadSpec& tenant : spec.tenants) {
-    Bytes value(tenant.value_size, 0x5A);
+    Bytes value(tenant.value_size, kMixedFill);
     for (std::uint64_t i = 0; i < tenant.num_keys; ++i) {
-      StampValue(&value, i);
+      Stamp(value.data(), value.size(), i);
       const std::string key = SpecKeyName(tenant, i);
       BANDSLIM_RETURN_IF_ERROR(
           cluster.shard(cluster.ShardOf(key)).Put(key, ByteSpan(value)));
@@ -403,57 +151,299 @@ Status PreloadTenantBlend(cluster::KvCluster& cluster,
   return cluster.Flush();
 }
 
-BlendRunResult RunTenantBlendWorkload(cluster::KvCluster& cluster,
-                                      const TenantBlendSpec& spec,
-                                      const std::string& config_label) {
-  BlendRunResult result;
-  result.workload = config_label;
-  result.tenants.resize(spec.tenants.size());
-
-  // Each tenant consumes its OWN canonical op sequence in order; the
-  // interleave only decides whose turn the next router slot is.
-  std::vector<std::vector<MixedOp>> ops(spec.tenants.size());
+OpList BlendOps(const TenantBlendSpec& spec) {
+  std::vector<OpList> per_tenant(spec.tenants.size());
   std::vector<std::size_t> cursor(spec.tenants.size(), 0);
   for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    ops[t] = DrawMixedOps(spec.tenants[t]);
+    per_tenant[t] = MixedOps(spec.tenants[t]);
+    for (Op& op : per_tenant[t]) op.tenant = static_cast<std::uint16_t>(t);
   }
   const std::vector<std::uint16_t> order = DrawTenantInterleave(spec);
-
-  std::vector<Bytes> values;
-  values.reserve(spec.tenants.size());
-  for (const MixedWorkloadSpec& tenant : spec.tenants) {
-    values.emplace_back(tenant.value_size, 0x5A);
+  OpList ops;
+  ops.reserve(order.size());
+  for (const std::uint16_t t : order) {
+    ops.push_back(std::move(per_tenant[t][cursor[t]++]));
   }
+  return ops;
+}
+
+// --- Executors --------------------------------------------------------------
+
+namespace {
+
+// One issuer's value bytes, rebuilt per PUT from the op's stamp and fill.
+class ValueBuffer {
+ public:
+  ByteSpan For(const Op& op) {
+    if (op.fill != fill_ || op.value_size > bytes_.size()) {
+      bytes_.assign(std::max<std::size_t>(bytes_.size(), op.value_size),
+                    op.fill);
+      fill_ = op.fill;
+    }
+    Stamp(bytes_.data(), op.value_size, op.stamp);
+    return ByteSpan(bytes_).subspan(0, op.value_size);
+  }
+
+ private:
+  Bytes bytes_;
+  int fill_ = -1;  // No fill yet.
+};
+
+// Works on a KvStore (serial) and on a driver::KvDriver (lanes) alike.
+template <typename Target>
+Status Issue(Target& target, const Op& op, ValueBuffer* value, Bytes* got) {
+  switch (op.kind) {
+    case OpKind::kPut:
+      return target.Put(op.key, value->For(op));
+    case OpKind::kGet:
+      return target.GetInto(op.key, got);
+    case OpKind::kDelete:
+      return target.Delete(op.key);
+  }
+  return Status::InvalidArgument("unknown op kind");
+}
+
+void MarkFailed(RunResult* r, const Status& st) {
+  r->workload += " [FAILED: " + st.ToString() + "]";
+}
+
+// The one failure rule: a shed (kBusy) or a GET miss is booked and the run
+// goes on; any other error marks the run failed and returns false.
+bool Book(const Op& op, const Status& st, sim::Nanoseconds latency,
+          RunResult* r) {
+  if (!st.ok() && !st.IsBusy() &&
+      !(op.kind == OpKind::kGet && st.IsNotFound())) {
+    MarkFailed(r, st);
+    return false;
+  }
+  const std::uint64_t bytes = op.kind == OpKind::kPut ? op.value_size : 0;
+  const bool shed = st.IsBusy();
+  r->ops += 1;
+  r->requested_value_bytes += bytes;
+  r->latency_ns.Record(latency);
+  r->puts += op.kind == OpKind::kPut;
+  r->gets += op.kind == OpKind::kGet;
+  r->deletes += op.kind == OpKind::kDelete;
+  r->get_misses += st.IsNotFound();
+  r->shed += shed;
+  if (!r->tenants.empty()) {
+    TenantRunResult& row = r->tenants[op.tenant];
+    row.ops += 1;
+    row.shed += shed;
+    row.requested_value_bytes += bytes;
+    row.latency_ns.Record(latency);
+  }
+  return true;
+}
+
+RunResult Named(const std::string& workload, const std::string& config) {
+  RunResult result;
+  result.workload = workload;
+  result.config = config;
+  return result;
+}
+
+// One closed-loop lane: its ops (indices into the canonical list, in
+// order), the driver it issues on and the clock of its time frame.
+struct Lane {
+  driver::KvDriver* driver = nullptr;
+  const sim::VirtualClock* clock = nullptr;
+  std::vector<std::uint32_t> ops;
+  std::size_t next = 0;
+  ValueBuffer value;
+  Bytes got;
+};
+
+// Interleaves the lanes on `engine_clock`, starting every lane at `start`:
+// each lane's turn runs one op in the lane's time frame, then books the
+// lane's next turn at its new local time. The engine always picks the lane
+// with the smallest local time (ties by schedule order), so the
+// interleaving is deterministic. Returns the latest lane finish.
+class LaneRun {
+ public:
+  LaneRun(const OpList& ops, std::vector<Lane>* lanes,
+          sim::VirtualClock* engine_clock, RunResult* result)
+      : ops_(ops), lanes_(*lanes), engine_(engine_clock), result_(result) {}
+
+  sim::Nanoseconds Run(sim::Nanoseconds start) {
+    latest_ = start;
+    // At most one pending turn per lane: pre-size the heap and the callback
+    // arena (plus slack for the drain buffer) so the loop never grows them.
+    engine_.Reserve(2 * lanes_.size() + 4);
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      if (lanes_[l].ops.empty()) continue;
+      engine_.Schedule(start, [this, l] { Turn(l); });
+    }
+    engine_.RunUntilIdle();
+    return latest_;
+  }
+
+ private:
+  void Turn(std::size_t l) {
+    if (failed_) return;
+    Lane& lane = lanes_[l];
+    const Op& op = ops_[lane.ops[lane.next]];
+    const sim::Nanoseconds op_start = lane.clock->Now();
+    const Status st = Issue(*lane.driver, op, &lane.value, &lane.got);
+    if (!Book(op, st, lane.clock->Now() - op_start, result_)) {
+      failed_ = true;
+      return;
+    }
+    latest_ = std::max(latest_, lane.clock->Now());
+    if (++lane.next < lane.ops.size()) {
+      engine_.Schedule(lane.clock->Now(), [this, l] { Turn(l); });
+    }
+  }
+
+  const OpList& ops_;
+  std::vector<Lane>& lanes_;
+  sim::EventEngine engine_;
+  RunResult* result_;
+  sim::Nanoseconds latest_ = 0;
+  bool failed_ = false;
+};
+
+}  // namespace
+
+RunResult RunSerial(KvStore& store, const OpList& ops,
+                    const std::string& workload, const std::string& config) {
+  KvStore* const surface = &store;
+  return RunSerial(std::span<KvStore* const>(&surface, 1), ops, workload,
+                   config);
+}
+
+RunResult RunSerial(std::span<KvStore* const> tenants, const OpList& ops,
+                    const std::string& workload, const std::string& config) {
+  RunResult result = Named(workload, config);
+  if (tenants.size() > 1) result.tenants.resize(tenants.size());
+  KvStore& store = *tenants[0];
+  ValueBuffer value;
   Bytes got;
 
-  const sim::Nanoseconds start = cluster.Now();
-  for (const std::uint16_t t : order) {
-    const MixedOp& op = ops[t][cursor[t]++];
-    const std::string key = SpecKeyName(spec.tenants[t], op.key_index);
-    KvStore& surface = cluster.Tenant(t);
-    const sim::Nanoseconds op_start = cluster.Now();
-    Status st = Status::Ok();
-    if (op.is_get) {
-      st = surface.GetInto(key, &got);
-    } else {
-      StampValue(&values[t], op.key_index);
-      st = surface.Put(key, ByteSpan(values[t]));
-      result.tenants[t].requested_value_bytes += values[t].size();
-    }
-    result.tenants[t].ops += 1;
-    if (st.code() == StatusCode::kBusy) {
-      // QoS shed: the admission throttle rejected the command. Count it and
-      // move on — that back-pressure IS the scenario a blend exercises.
-      result.tenants[t].shed += 1;
-    } else if (!st.ok()) {
-      result.workload += " [FAILED: " + st.ToString() + "]";
+  const KvSsdStats before = store.GetStats();
+  const sim::Nanoseconds start = store.Now();
+  for (const Op& op : ops) {
+    if (op.tenant >= tenants.size()) {
+      MarkFailed(&result, Status::InvalidArgument("op tenant has no surface"));
       break;
     }
-    result.tenants[t].latency_ns.Record(cluster.Now() - op_start);
+    KvStore& surface = *tenants[op.tenant];
+    const sim::Nanoseconds op_start = surface.Now();
+    const Status st = Issue(surface, op, &value, &got);
+    if (!Book(op, st, surface.Now() - op_start, &result)) break;
+  }
+  result.elapsed_ns = store.Now() - start;
+  result.delta = StatsDelta(store.GetStats(), before);
+  return result;
+}
+
+std::vector<KvStore*> TenantSurfaces(cluster::KvCluster& cluster) {
+  std::vector<KvStore*> surfaces;
+  for (std::size_t t = 0; t < cluster.num_tenants(); ++t) {
+    surfaces.push_back(&cluster.Tenant(t));
+  }
+  return surfaces;
+}
+
+RunResult RunQueueLanes(KvSsd& ssd, const OpList& ops, std::uint16_t num_lanes,
+                        const std::string& workload,
+                        const std::string& config) {
+  RunResult result = Named(workload, config);
+  if (num_lanes == 0 || num_lanes > ssd.options().num_queues) {
+    MarkFailed(&result, Status::InvalidArgument(
+                            "queue lanes must be 1..num_queues, got " +
+                            std::to_string(num_lanes)));
+    return result;
+  }
+  KvSsd::TestHooks hooks = ssd.Hooks();
+  sim::VirtualClock& clock = *hooks.clock;
+  // Lane l gets ops l, l+S, l+2S, ... (S = num_lanes) and its own
+  // driver/queue pair; lane 0 rides the device's built-in queue-0 driver.
+  // One value buffer per lane: it must stay intact while other lanes
+  // interleave between its fragments' submissions.
+  std::vector<Lane> lanes;
+  lanes.reserve(num_lanes);
+  for (std::uint16_t l = 0; l < num_lanes; ++l) {
+    Lane& lane = lanes.emplace_back();
+    lane.driver = l == 0
+                      ? hooks.driver
+                      : ssd.CreateQueueDriver(l, ssd.options().driver).value();
+    lane.clock = &clock;
+    lane.ops.reserve(ops.size() / num_lanes + 1);
+  }
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    lanes[i % num_lanes].ops.push_back(i);
   }
 
-  result.elapsed_ns = cluster.Now() - start;
+  const bool was_parallel = hooks.transport->parallel_arbitration();
+  hooks.transport->SetParallelArbitration(true);
+  const KvSsdStats before = ssd.GetStats();
+  const sim::Nanoseconds start = clock.Now();
+  // The engine runs on the device clock: each turn enters its lane's frame.
+  const sim::Nanoseconds finish =
+      LaneRun(ops, &lanes, &clock, &result).Run(start);
+  // Leave the clock at the run's end (the last event may have been an
+  // earlier-finishing lane's frame).
+  clock.SetTime(std::max(clock.Now(), finish));
+  hooks.transport->SetParallelArbitration(was_parallel);
+
+  result.elapsed_ns = finish - start;
+  result.delta = StatsDelta(ssd.GetStats(), before);
   return result;
+}
+
+RunResult RunShardLanes(cluster::KvCluster& cluster, const OpList& ops,
+                        const std::string& workload,
+                        const std::string& config) {
+  RunResult result = Named(workload, config);
+  const std::uint32_t num_shards = cluster.num_shards();
+  std::vector<std::uint32_t> owner(ops.size());
+  std::vector<std::size_t> count(num_shards, 0);
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    owner[i] = cluster.ShardOf(ops[i].key);
+    ++count[owner[i]];
+  }
+  std::vector<Lane> lanes;
+  lanes.reserve(num_shards);
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    Lane& lane = lanes.emplace_back();
+    lane.driver = cluster.shard(s).Hooks().driver;
+    lane.clock = &cluster.shard(s).clock();
+    lane.ops.reserve(count[s]);
+  }
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    lanes[owner[i]].ops.push_back(i);
+  }
+
+  // Common dispatch barrier: every shard starts in the router's frame.
+  const sim::Nanoseconds start = cluster.Now();
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    cluster.shard(s).Hooks().clock->AdvanceTo(start);
+  }
+  const KvSsdStats before = cluster.GetStats();
+  // The engine orders lane turns by each shard's LOCAL time on a scratch
+  // clock; the shards themselves keep their own clocks. Shards share no
+  // simulated resources, so the interleaving affects only host-side append
+  // order (deterministic either way) — but it mirrors how a real multi-
+  // device host drains completions in global time order.
+  sim::VirtualClock scratch;
+  scratch.SetTime(start);
+  const sim::Nanoseconds finish =
+      LaneRun(ops, &lanes, &scratch, &result).Run(start);
+  // Hand the router a consistent timeline: the run ends when the slowest
+  // shard finishes.
+  cluster.SyncClockToShards();
+
+  result.elapsed_ns = finish - start;
+  result.delta = StatsDelta(cluster.GetStats(), before);
+  result.delta.elapsed_ns = result.elapsed_ns;
+  return result;
+}
+
+RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
+                                  const MixedWorkloadSpec& spec,
+                                  const std::string& config_label) {
+  return RunShardLanes(cluster, MixedOps(spec), spec.name, config_label);
 }
 
 }  // namespace bandslim::workload

@@ -1,10 +1,24 @@
-// Workload runner: drives any KvStore (bare KvSsd, sharded KvCluster, or
-// the conventional HostKvs stack) through a workload spec on the virtual
-// clock, collecting the per-op latency histogram and the counter deltas the
-// paper's figures are built from.
+// Workload front end: op sources feeding two executors.
+//
+// Every op stream the benches run is first built as one OpList in canonical
+// order. Sources: a put WorkloadSpec (PutOps), a MixedWorkloadSpec
+// (MixedOps), a TenantBlendSpec (BlendOps) and a trace file
+// (workload/trace.h, ReadTrace). Executors:
+//   * RunSerial   — ops issue back-to-back on any KvStore (bare KvSsd,
+//                   sharded KvCluster, or the conventional HostKvs stack);
+//                   a blend issues tenant t's ops through cluster.Tenant(t).
+//   * RunQueueLanes / RunShardLanes — closed-loop lanes (one queue driver of
+//                   a KvSsd, or one shard of a KvCluster) interleaved by the
+//                   event engine on each lane's local time.
+// Both collect the per-op latency histogram and the counter deltas the
+// paper's figures are built from into one RunResult, under one failure
+// rule: kBusy is a shed and NotFound on a GET a miss, and the run goes on;
+// any other error stops it with a " [FAILED: ...]" marker on `workload`.
 #pragma once
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cluster/kv_cluster.h"
 #include "core/kv_store.h"
@@ -14,16 +28,51 @@
 
 namespace bandslim::workload {
 
-struct RunResult {
-  std::string workload;
-  std::string config;
+enum class OpKind : std::uint8_t { kPut, kGet, kDelete };
+
+// One client op. A PUT's value is `value_size` bytes: `stamp` little-endian
+// in the first min(8, value_size) bytes and `fill` in the rest, so payloads
+// differ without a full refill.
+struct Op {
+  OpKind kind = OpKind::kPut;
+  std::string key;
+  std::uint32_t value_size = 0;  // PUT only.
+  std::uint64_t stamp = 0;
+  std::uint16_t tenant = 0;  // Index into RunSerial's tenant surfaces.
+  std::uint8_t fill = 0xA5;
+};
+
+using OpList = std::vector<Op>;
+
+// Per-tenant outcome of a serial run over several tenant surfaces. `ops`
+// counts client ops issued (including shed ones); `shed` counts the kBusy
+// rejections among them — sheds are the QoS mechanism working, not a
+// workload failure.
+struct TenantRunResult {
   std::uint64_t ops = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t requested_value_bytes = 0;
+  stats::Histogram latency_ns;
+};
+
+struct RunResult {
+  std::string workload;  // Carries " [FAILED: ...]" on a stopping error.
+  std::string config;
+  std::uint64_t ops = 0;  // Ops issued, sheds and misses included.
   std::uint64_t requested_value_bytes = 0;
   sim::Nanoseconds elapsed_ns = 0;
   stats::Histogram latency_ns;
 
   // Counter deltas across the run.
   KvSsdStats delta;
+
+  std::uint64_t puts = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t deletes = 0;
+  std::uint64_t get_misses = 0;  // GETs answered NotFound.
+  std::uint64_t shed = 0;        // Ops rejected with kBusy.
+  // One row per tenant surface when RunSerial is given more than one.
+  std::vector<TenantRunResult> tenants;
 
   double MeanResponseUs() const { return latency_ns.Mean() / 1000.0; }
   double P99ResponseUs() const { return latency_ns.Percentile(99) / 1000.0; }
@@ -56,25 +105,11 @@ struct RunResult {
 // Subtracts counters (after - before).
 KvSsdStats StatsDelta(const KvSsdStats& after, const KvSsdStats& before);
 
-// Issues `spec.ops` PUTs. Value contents are a cheap deterministic pattern
-// (benches measure transfer/packing, not data entropy). Topology-neutral:
-// accepts anything behind the KvStore interface.
-RunResult RunPutWorkload(KvStore& store, const WorkloadSpec& spec,
-                         const std::string& config_label);
+// --- Sources ---------------------------------------------------------------
 
-// Issues the same PUT sequence sharded across `num_streams` NVMe queue
-// pairs (op i goes to stream i % num_streams; the device must be opened
-// with num_queues >= num_streams). Each stream advances in its own time
-// frame; the event engine interleaves streams deterministically by
-// (time, sequence) and the transport's parallel arbitration plus the NAND
-// channel/way scheduler decide how much of the work overlaps. elapsed_ns
-// is the latest stream finish time. With num_streams == 1 the run is
-// op-for-op identical to RunPutWorkload (see tests/figure_anchor_test).
-RunResult RunShardedPutWorkload(KvSsd& ssd, const WorkloadSpec& spec,
-                                std::uint16_t num_streams,
-                                const std::string& config_label);
-
-// --- Mixed read/write workloads over a preloaded key space -----------------
+// `spec.ops` PUTs; op i is stamped i over 0xA5 (benches measure transfer
+// and packing, not data entropy).
+OpList PutOps(const WorkloadSpec& spec);
 
 // A GET/PUT mix over `num_keys` preloaded keys; the knob set the shard
 // scaling ablation sweeps. Key popularity is either uniform or Zipfian
@@ -101,25 +136,9 @@ std::string MixedKeyName(std::uint64_t index);
 // store's normal path) so the mixed run's GETs always hit.
 Status PreloadMixedKeys(KvStore& store, const MixedWorkloadSpec& spec);
 
-// Serial mixed run: ops issue back-to-back on the store's own timeline.
-// On a KvCluster this is the router's serial path (each op waits for its
-// owner shard) — the closed-loop single-client view.
-RunResult RunMixedWorkload(KvStore& store, const MixedWorkloadSpec& spec,
-                           const std::string& config_label);
-
-// Parallel mixed run against a cluster: the SAME op sequence is pre-drawn,
-// partitioned by owner shard, and each shard executes its sub-sequence as
-// an independent closed-loop stream in its own time frame; the event
-// engine interleaves streams deterministically by (local time, sequence).
-// elapsed_ns is the latest shard finish minus the common dispatch time —
-// the open-loop N-client view the shard scaling ablation measures. With
-// num_shards == 1 the run is op-for-op identical to RunMixedWorkload on
-// the same cluster (one stream, no interleaving).
-RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
-                                  const MixedWorkloadSpec& spec,
-                                  const std::string& config_label);
-
-// --- Tenant blends: several mixed workloads interleaved on one cluster -----
+// The spec's ops. An update of key index k is stamped k over 0x5A, the
+// bytes PreloadMixedKeys wrote.
+OpList MixedOps(const MixedWorkloadSpec& spec);
 
 // One mixed spec per cluster tenant (index-paired with ClusterConfig's
 // tenants). Give the specs disjoint key_prefix values so tenants own
@@ -145,29 +164,53 @@ std::vector<std::uint16_t> DrawTenantInterleave(const TenantBlendSpec& spec);
 Status PreloadTenantBlend(cluster::KvCluster& cluster,
                           const TenantBlendSpec& spec);
 
-// Per-tenant outcome of a blend run. `ops` counts client ops issued
-// (including shed ones); `shed` counts the kBusy rejections among them —
-// sheds are the QoS mechanism working, not a workload failure.
-struct TenantRunResult {
-  std::uint64_t ops = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t requested_value_bytes = 0;
-  stats::Histogram latency_ns;
-};
+// Each tenant's MixedOps, tagged with its tenant index and consumed in its
+// own canonical order at the slots DrawTenantInterleave gives it.
+OpList BlendOps(const TenantBlendSpec& spec);
 
-struct BlendRunResult {
-  std::string workload;  // Carries " [FAILED: ...]" on a non-kBusy error.
-  sim::Nanoseconds elapsed_ns = 0;
-  std::vector<TenantRunResult> tenants;
-};
+// --- Executors -------------------------------------------------------------
 
-// Serial blend run: client ops issue back-to-back on the router timeline in
-// DrawTenantInterleave order, each through its tenant's KvStore facade
-// (cluster.Tenant(t)), so QoS credits, tracer tenant stamps, and the
-// attribution plane all see the real tenant. kBusy is counted and skipped;
-// any other failure aborts the run.
-BlendRunResult RunTenantBlendWorkload(cluster::KvCluster& cluster,
-                                      const TenantBlendSpec& spec,
-                                      const std::string& config_label);
+// Serial run: ops issue back-to-back on the store's own timeline. On a
+// KvCluster this is the router's serial path (each op waits for its owner
+// shard) — the closed-loop single-client view.
+RunResult RunSerial(KvStore& store, const OpList& ops,
+                    const std::string& workload, const std::string& config);
+
+// Serial run over tenant surfaces: op.tenant issues through tenants[t], so
+// QoS credits, tracer tenant stamps, and the attribution plane all see the
+// real tenant. Timing and counters are read on tenants[0]; `tenants` rows
+// are filled when there is more than one surface.
+RunResult RunSerial(std::span<KvStore* const> tenants, const OpList& ops,
+                    const std::string& workload, const std::string& config);
+
+// cluster.Tenant(t) for every configured tenant, in index order.
+std::vector<KvStore*> TenantSurfaces(cluster::KvCluster& cluster);
+
+// Queue lanes: op i issues on lane i % num_lanes, lane l on NVMe queue pair
+// l (lane 0 rides the device's built-in queue-0 driver; the device must be
+// opened with num_queues >= num_lanes). Each lane advances in its own time
+// frame; the transport's parallel arbitration (on for the run, restored
+// after) plus the NAND channel/way scheduler decide how much of the work
+// overlaps. elapsed_ns is the latest lane finish time. With one lane the
+// run is op-for-op identical to RunSerial (see tests/figure_anchor_test).
+RunResult RunQueueLanes(KvSsd& ssd, const OpList& ops, std::uint16_t num_lanes,
+                        const std::string& workload,
+                        const std::string& config);
+
+// Shard lanes: the ops are partitioned by owner shard, and each shard
+// executes its sub-sequence as an independent closed-loop lane in its own
+// time frame, bypassing the router. Every lane starts at the router's time
+// (the common dispatch barrier); elapsed_ns is the latest shard finish
+// minus that time — the open-loop N-client view the shard scaling ablation
+// measures. With num_shards == 1 the run is op-for-op identical to
+// RunSerial on the same cluster (one lane, no interleaving).
+RunResult RunShardLanes(cluster::KvCluster& cluster, const OpList& ops,
+                        const std::string& workload,
+                        const std::string& config);
+
+// RunShardLanes over MixedOps(spec), named after the spec.
+RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
+                                  const MixedWorkloadSpec& spec,
+                                  const std::string& config_label);
 
 }  // namespace bandslim::workload

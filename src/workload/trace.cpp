@@ -1,10 +1,9 @@
 #include "workload/trace.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
-
-#include "workload/value_gen.h"
 
 namespace bandslim::workload {
 
@@ -41,103 +40,63 @@ Result<std::string> HexDecode(const std::string& hex) {
   return out;
 }
 
-void WriteTrace(const Trace& trace, std::ostream& out) {
-  for (const TraceRecord& r : trace) {
-    switch (r.op) {
-      case TraceOp::kPut:
-        out << "put " << HexEncode(r.key) << ' ' << r.value_size << '\n';
+void WriteTrace(const OpList& ops, std::ostream& out) {
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case OpKind::kPut:
+        out << "put " << HexEncode(op.key) << ' ' << op.value_size << '\n';
         break;
-      case TraceOp::kGet:
-        out << "get " << HexEncode(r.key) << '\n';
+      case OpKind::kGet:
+        out << "get " << HexEncode(op.key) << '\n';
         break;
-      case TraceOp::kDelete:
-        out << "del " << HexEncode(r.key) << '\n';
+      case OpKind::kDelete:
+        out << "del " << HexEncode(op.key) << '\n';
         break;
     }
   }
 }
 
-Result<Trace> ReadTrace(std::istream& in) {
-  Trace trace;
+Result<OpList> ReadTrace(std::istream& in) {
+  OpList ops;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
+    const std::string where = ", line " + std::to_string(lineno);
     std::istringstream ls(line);
-    std::string op;
+    std::string kind;
     std::string hexkey;
-    ls >> op >> hexkey;
-    if (ls.fail()) {
-      return Status::Corruption("trace line " + std::to_string(lineno));
-    }
+    ls >> kind >> hexkey;
+    if (ls.fail()) return Status::Corruption("trace line" + where);
     auto key = HexDecode(hexkey);
     if (!key.ok()) return key.status();
-    TraceRecord record;
-    record.key = std::move(key).value();
-    if (op == "put") {
-      ls >> record.value_size;
-      if (ls.fail() || record.value_size == 0) {
-        return Status::Corruption("bad put size, line " + std::to_string(lineno));
+    Op op;
+    op.key = std::move(key).value();
+    op.stamp = ops.size();
+    if (kind == "put") {
+      // Decimal digits only: no sign, no suffix, no overflow, not zero.
+      std::string size;
+      ls >> size;
+      const char* end = size.data() + size.size();
+      const auto parsed = std::from_chars(size.data(), end, op.value_size);
+      if (parsed.ec != std::errc() || parsed.ptr != end || op.value_size == 0) {
+        return Status::Corruption("bad put size '" + size + "'" + where);
       }
-      record.op = TraceOp::kPut;
-    } else if (op == "get") {
-      record.op = TraceOp::kGet;
-    } else if (op == "del") {
-      record.op = TraceOp::kDelete;
+    } else if (kind == "get") {
+      op.kind = OpKind::kGet;
+    } else if (kind == "del") {
+      op.kind = OpKind::kDelete;
     } else {
-      return Status::Corruption("unknown op '" + op + "', line " +
-                                std::to_string(lineno));
+      return Status::Corruption("unknown op '" + kind + "'" + where);
     }
-    trace.push_back(std::move(record));
-  }
-  return trace;
-}
-
-Trace TraceFromSpec(const WorkloadSpec& spec) {
-  Trace trace;
-  trace.reserve(spec.ops);
-  Xoshiro256 rng(spec.seed);
-  spec.keys->Reset();
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    trace.push_back({TraceOp::kPut, spec.keys->Next(),
-                     static_cast<std::uint32_t>(spec.sizes->Next(rng))});
-  }
-  return trace;
-}
-
-Result<ReplayResult> ReplayTrace(KvSsd& ssd, const Trace& trace) {
-  ReplayResult result;
-  std::size_t max_size = 0;
-  for (const TraceRecord& r : trace) {
-    max_size = std::max<std::size_t>(max_size, r.value_size);
-  }
-  Bytes value(max_size, 0xA5);
-  const sim::Nanoseconds start = ssd.clock().Now();
-  for (const TraceRecord& r : trace) {
-    switch (r.op) {
-      case TraceOp::kPut:
-        BANDSLIM_RETURN_IF_ERROR(
-            ssd.Put(r.key, ByteSpan(value).subspan(0, r.value_size)));
-        ++result.puts;
-        break;
-      case TraceOp::kGet: {
-        auto v = ssd.Get(r.key);
-        if (!v.ok()) {
-          if (!v.status().IsNotFound()) return v.status();
-          ++result.get_misses;
-        }
-        ++result.gets;
-        break;
-      }
-      case TraceOp::kDelete:
-        BANDSLIM_RETURN_IF_ERROR(ssd.Delete(r.key));
-        ++result.deletes;
-        break;
+    std::string extra;
+    if (ls >> extra) {
+      return Status::Corruption("trailing token '" + extra + "'" + where);
     }
+    ops.push_back(std::move(op));
   }
-  result.elapsed_ns = ssd.clock().Now() - start;
-  return result;
+  return ops;
 }
 
 }  // namespace bandslim::workload

@@ -304,7 +304,8 @@ CampaignExports RunFourShardCampaign() {
   EXPECT_TRUE(workload::PreloadMixedKeys(*fleet, spec).ok());
   // Serial mixed phase (router timeline), then batch traffic, then the
   // parallel per-shard phase, then a flush barrier.
-  (void)workload::RunMixedWorkload(*fleet, spec, "serial");
+  (void)workload::RunSerial(*fleet, workload::MixedOps(spec),
+                            spec.name, "serial");
   std::vector<KvStore::KvPair> batch;
   for (std::uint64_t i = 0; i < 64; ++i) {
     batch.push_back({workload::MixedKeyName(i), ValueFor(i, 300)});
@@ -425,7 +426,8 @@ TEST(KvClusterTest, ParallelRunnerMatchesSerialOnOneShard) {
   auto serial = KvCluster::Open(TestCluster(1)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*serial, spec).ok());
   const workload::RunResult a =
-      workload::RunMixedWorkload(*serial, spec, "serial");
+      workload::RunSerial(*serial, workload::MixedOps(spec),
+                          spec.name, "serial");
 
   auto parallel = KvCluster::Open(TestCluster(1)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*parallel, spec).ok());

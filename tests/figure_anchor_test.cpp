@@ -30,7 +30,7 @@ KvSsdOptions Options(TransferMethod method, PackingPolicy policy, bool nand) {
 workload::RunResult RunSpec(workload::WorkloadSpec spec, TransferMethod method,
                             PackingPolicy policy, bool nand) {
   auto ssd = KvSsd::Open(Options(method, policy, nand)).value();
-  return workload::RunPutWorkload(*ssd, spec, "anchor");
+  return workload::RunSerial(*ssd, workload::PutOps(spec), spec.name, "anchor");
 }
 
 constexpr std::uint64_t kOps = 20000;
@@ -200,23 +200,24 @@ TEST(Figure12Anchors, AllPackingMinimizesNandWrites) {
 
 // ---- Multi-queue equivalence ----------------------------------------------
 
-// The sharded runner with one stream and the synchronous NAND path must
-// reproduce RunPutWorkload exactly — the figure anchors above are measured
-// through RunPutWorkload, so this pins that the multi-queue machinery is
-// timing-invisible when not engaged.
+// One queue lane and the synchronous NAND path must reproduce RunSerial
+// exactly — the figure anchors above are measured through RunSerial, so
+// this pins that the multi-queue machinery is timing-invisible when not
+// engaged.
 TEST(MultiQueueEquivalence, OneStreamShardedMatchesSequentialExactly) {
   for (auto make : {workload::MakeWorkloadB, workload::MakeWorkloadM}) {
     auto seq_ssd = KvSsd::Open(Options(TransferMethod::kAdaptive,
                                        PackingPolicy::kAll, true))
                        .value();
-    const auto seq =
-        workload::RunPutWorkload(*seq_ssd, make(kOps, 7), "seq");
+    const workload::WorkloadSpec spec = make(kOps, 7);
+    const workload::OpList ops = workload::PutOps(spec);
+    const auto seq = workload::RunSerial(*seq_ssd, ops, spec.name, "seq");
 
     auto sharded_ssd = KvSsd::Open(Options(TransferMethod::kAdaptive,
                                            PackingPolicy::kAll, true))
                            .value();
-    const auto sharded = workload::RunShardedPutWorkload(
-        *sharded_ssd, make(kOps, 7), 1, "sharded");
+    const auto sharded =
+        workload::RunQueueLanes(*sharded_ssd, ops, 1, spec.name, "sharded");
 
     ASSERT_EQ(seq.workload, sharded.workload);
     EXPECT_EQ(seq.elapsed_ns, sharded.elapsed_ns);

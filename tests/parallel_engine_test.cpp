@@ -29,8 +29,9 @@ KvSsdOptions ParallelOptions(std::uint16_t num_queues) {
 
 workload::RunResult RunSharded(std::uint16_t streams) {
   auto ssd = KvSsd::Open(ParallelOptions(streams)).value();
-  return workload::RunShardedPutWorkload(*ssd, workload::MakeWorkloadB(kOps),
-                                         streams, "parallel");
+  return workload::RunQueueLanes(
+      *ssd, workload::PutOps(workload::MakeWorkloadB(kOps)), streams, "B",
+      "parallel");
 }
 
 void ExpectIdentical(const KvSsdStats& a, const KvSsdStats& b) {
@@ -77,14 +78,35 @@ TEST(ParallelEngineTest, FourQueuesBeatSyncSingleQueueBy2_5x) {
   sync.geometry.pages_per_block = 64;
   sync.retain_payloads = false;
   auto sync_ssd = KvSsd::Open(sync).value();
-  const workload::RunResult base = workload::RunPutWorkload(
-      *sync_ssd, workload::MakeWorkloadB(kOps), "sync");
+  const workload::RunResult base = workload::RunSerial(
+      *sync_ssd, workload::PutOps(workload::MakeWorkloadB(kOps)), "B", "sync");
 
   const workload::RunResult parallel = RunSharded(4);
   ASSERT_EQ(parallel.ops, base.ops);
   EXPECT_GE(parallel.KopsPerSec(), 2.5 * base.KopsPerSec())
       << "sync " << base.KopsPerSec() << " Kops/s vs parallel "
       << parallel.KopsPerSec() << " Kops/s";
+}
+
+TEST(ParallelEngineTest, BadLaneCountFailsCleanly) {
+  // Zero lanes, or more lanes than queue pairs, is a [FAILED] run that
+  // never touches the device — in release builds too, where asserts are
+  // compiled out.
+  auto ssd = KvSsd::Open(ParallelOptions(2)).value();
+  const workload::OpList ops = workload::PutOps(workload::MakeWorkloadB(100));
+  for (const std::uint16_t lanes : {0, 3}) {
+    const workload::RunResult r =
+        workload::RunQueueLanes(*ssd, ops, lanes, "B", "bad");
+    EXPECT_NE(r.workload.find("[FAILED: InvalidArgument"), std::string::npos)
+        << r.workload;
+    EXPECT_EQ(r.ops, 0u);
+  }
+  EXPECT_EQ(ssd->GetStats().commands_submitted, 0u);
+  // The device still runs a valid lane count afterwards.
+  const workload::RunResult ok =
+      workload::RunQueueLanes(*ssd, ops, 2, "B", "ok");
+  EXPECT_EQ(ok.workload, "B");
+  EXPECT_EQ(ok.ops, 100u);
 }
 
 }  // namespace

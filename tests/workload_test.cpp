@@ -143,7 +143,7 @@ TEST(RunnerTest, CollectsLatencyAndDeltas) {
   auto ssd = KvSsd::Open(o).value();
 
   auto spec = MakeWorkloadA(32, 200);
-  auto result = RunPutWorkload(*ssd, spec, "test");
+  auto result = RunSerial(*ssd, PutOps(spec), spec.name, "test");
   EXPECT_EQ(result.ops, 200u);
   EXPECT_EQ(result.latency_ns.count(), 200u);
   EXPECT_EQ(result.requested_value_bytes, 200u * 32u);
