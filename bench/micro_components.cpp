@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
-// hash-indexed MemTable, NAND page buffer packing, SSTable serialization.
+// hash-indexed MemTable, NAND page buffer packing, SSTable serialization,
+// the FTL/NAND read path.
 // These measure *simulator* (wall-clock) performance, not modeled device
 // time — they exist to keep the simulation itself fast.
 #include <benchmark/benchmark.h>
 
 #include "buffer/page_buffer.h"
+#include "ftl/ftl.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "nvme/command.h"
@@ -108,6 +110,39 @@ void BM_SSTableEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SSTableEncodeDecode);
+
+void BM_FtlReadView(benchmark::State& state) {
+  // Host cost of the physical layer on a vLog page read: FTL map lookup,
+  // NAND page-store probe and payload view, at random over 32k mapped pages
+  // of a default-geometry device (short retained payloads keep RSS small).
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  stats::MetricsRegistry metrics;
+  nand::NandFlash nand(nand::NandGeometry{}, &clock, &cost, &metrics);
+  ftl::PageFtl ftl(&nand, &metrics);
+  constexpr std::uint64_t kPages = 32768;
+  const Bytes payload = workload::MakeValue(256, 1, 1);
+  for (std::uint64_t lpn = 0; lpn < kPages; ++lpn) {
+    if (!ftl.Write(lpn, ByteSpan(payload), ftl::Stream::kVlog, true).ok()) {
+      state.SkipWithError("write failed");
+      return;
+    }
+  }
+  Xoshiro256 rng(7);
+  std::vector<std::uint64_t> lpns(1 << 16);
+  for (auto& lpn : lpns) lpn = rng.Below(kPages);
+  std::shared_ptr<const Bytes> view;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (!ftl.ReadView(lpns[i++ & (lpns.size() - 1)], &view).ok()) {
+      state.SkipWithError("read failed");
+      break;
+    }
+    benchmark::DoNotOptimize(view);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FtlReadView);
 
 void BM_KeyGeneration(benchmark::State& state) {
   workload::UniqueHashKeyGenerator gen(9);

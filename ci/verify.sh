@@ -50,8 +50,9 @@ trace_export() {
 }
 
 # Trace round trip: a generator run dumped as a trace replays through the
-# serial executor as the same 2000 PUTs, and a malformed PUT size is
-# rejected with exit 1 before anything is replayed.
+# serial executor as the same 2000 PUTs, and a malformed PUT size or one
+# above the device's maximum value size is rejected with exit 1 before
+# anything is replayed.
 trace_roundtrip() {
   local build_dir="$1"
   echo "=== verify pass: trace round trip (${build_dir}) ==="
@@ -67,7 +68,14 @@ trace_roundtrip() {
     echo "malformed trace: expected exit 1, got ${rc}"
     return 1
   fi
-  echo "trace round trip: 2000 PUTs replayed, malformed size rejected"
+  rc=0
+  printf 'put 6b 100000000\n' > "${trace}.big"
+  "${build_dir}/examples/db_bench" --replay="${trace}.big" || rc=$?
+  if [ "${rc}" -ne 1 ]; then
+    echo "oversize PUT trace: expected exit 1, got ${rc}"
+    return 1
+  fi
+  echo "trace round trip: 2000 PUTs replayed, malformed and oversize sizes rejected"
 }
 
 # Prometheus text exposition 0.0.4: promtool when installed, else the line

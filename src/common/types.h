@@ -30,6 +30,11 @@ inline constexpr std::size_t kTransferCmdPiggybackCapacity = 56;
 // Maximum key length storable inline in the NVMe KV command (dword2-3 +
 // dword14-15, see Figure 6). The paper's experiments use 4-byte keys.
 inline constexpr std::size_t kMaxKeySize = 16;
+// Largest value one PUT may carry: 512 KiB, the maximum data transfer size
+// (MDTS) of the reference KV-SSD host driver. The driver and the trace reader
+// reject anything larger with InvalidArgument before allocating or
+// submitting, so a 32-bit value-size field never wraps.
+inline constexpr std::size_t kMaxValueSize = 512 * 1024;
 
 inline constexpr std::size_t kMemPagesPerNandPage = kNandPageSize / kMemPageSize;
 

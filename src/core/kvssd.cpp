@@ -87,8 +87,16 @@ void KvSsd::BindTelemetry() {
 }
 
 Result<std::unique_ptr<KvSsd>> KvSsd::Open(const KvSsdOptions& options) {
-  if (options.geometry.total_pages() == 0) {
+  const nand::NandGeometry& g = options.geometry;
+  // Exact in 128 bits: four 32-bit factors cannot overflow it.
+  const unsigned __int128 pages = static_cast<unsigned __int128>(g.channels) *
+                                  g.ways * g.blocks_per_die * g.pages_per_block;
+  if (pages == 0) {
     return Status::InvalidArgument("empty NAND geometry");
+  }
+  if (pages > ftl::PageFtl::kMaxPhysicalPages) {
+    return Status::InvalidArgument(
+        "NAND geometry exceeds the FTL's 32-bit physical page numbers");
   }
   if (options.buffer.num_entries < 2) {
     return Status::InvalidArgument("buffer needs at least two entries");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "nvme/command.h"
 
@@ -198,6 +199,9 @@ Status KvDriver::PutImpl(std::string_view key, ByteSpan value) {
   if (value.empty()) {
     return Status::InvalidArgument("empty values are not supported");
   }
+  if (value.size() > kMaxValueSize) {
+    return Status::InvalidArgument("value larger than kMaxValueSize");
+  }
   ++puts_issued_;
   switch (Decide(value.size())) {
     case Decision::kPiggyback: return PutPiggyback(key, value);
@@ -220,7 +224,7 @@ Status KvDriver::PutBatch(std::span<const KvPair> batch) {
 Status KvDriver::PutBatchImpl(std::span<const KvPair> batch) {
   if (batch.empty()) return Status::Ok();
   // Wire format, repeated per record: [u8 klen][key][u32 vsize][value].
-  Bytes payload;
+  std::uint64_t payload_size = 0;
   for (const KvPair& kv : batch) {
     if (kv.key.empty() || kv.key.size() > kMaxKeySize) {
       return Status::InvalidArgument("key must be 1..16 bytes");
@@ -228,6 +232,17 @@ Status KvDriver::PutBatchImpl(std::span<const KvPair> batch) {
     if (kv.value.empty()) {
       return Status::InvalidArgument("empty values are not supported");
     }
+    if (kv.value.size() > kMaxValueSize) {
+      return Status::InvalidArgument("value larger than kMaxValueSize");
+    }
+    payload_size += 1 + kv.key.size() + 4 + kv.value.size();
+  }
+  if (payload_size > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument("batch larger than one bulk transfer");
+  }
+  Bytes payload;
+  payload.reserve(payload_size);
+  for (const KvPair& kv : batch) {
     payload.push_back(static_cast<std::uint8_t>(kv.key.size()));
     payload.insert(payload.end(), kv.key.begin(), kv.key.end());
     const auto vsize = static_cast<std::uint32_t>(kv.value.size());

@@ -14,12 +14,13 @@ PageFtl::PageFtl(nand::NandFlash* nand, stats::MetricsRegistry* metrics,
       tracer_(tracer),
       event_log_(event_log),
       config_(config),
-      rmap_(nand->geometry().total_pages(), kUnmapped),
+      rmap_(nand->geometry().total_pages(), kNoLpn),
       valid_pages_(nand->geometry().total_blocks(), 0),
       block_full_(nand->geometry().total_blocks(), false),
       bad_(nand->geometry().total_blocks(), false),
       gc_relocations_(metrics->RegisterCounter("ftl.gc_relocated_pages")),
       remaps_counter_(metrics->RegisterCounter("ftl.bad_block_remaps")) {
+  assert(nand->geometry().total_pages() <= kMaxPhysicalPages);
   const std::uint64_t blocks = nand->geometry().total_blocks();
   if (config_.bad_block_rate > 0.0) {
     Xoshiro256 rng(config_.bad_block_seed);
@@ -75,9 +76,26 @@ PageFtl::PageFtl(nand::NandFlash* nand, stats::MetricsRegistry* metrics,
   stream_programs_[2] = metrics->RegisterCounter("ftl.programs.gc");
 }
 
+bool PageFtl::Pack(std::uint64_t lpn, std::uint32_t* packed) {
+  if (lpn >= kLpnSpaceEnd) return false;
+  const std::uint32_t part = lpn < kLsmLpnBase ? 0 : lpn < kManifestLpn ? 1 : 2;
+  const std::uint64_t index = lpn - kLpnPartitionBase[part];
+  if (index >= kMaxPartitionPages) return false;
+  *packed = (part << kLpnIndexBits) | static_cast<std::uint32_t>(index);
+  return true;
+}
+
+std::uint32_t PageFtl::Lookup(std::uint64_t lpn) const {
+  std::uint32_t packed;
+  if (!Pack(lpn, &packed)) return kNoPpn;
+  const std::vector<std::uint32_t>& map = map_[packed >> kLpnIndexBits];
+  const std::uint32_t index = packed & kIndexMask;
+  return index < map.size() ? map[index] : kNoPpn;
+}
+
 void PageFtl::Invalidate(std::uint64_t ppn) {
-  if (rmap_[ppn] == kUnmapped) return;
-  rmap_[ppn] = kUnmapped;
+  if (rmap_[ppn] == kNoLpn) return;
+  rmap_[ppn] = kNoLpn;
   const std::uint64_t block = nand_->geometry().BlockOf(ppn);
   assert(valid_pages_[block] > 0);
   --valid_pages_[block];
@@ -209,8 +227,8 @@ Status PageFtl::RelocateValidPages(std::uint64_t block) {
   const std::uint64_t first = geom.PageIndex(block, 0);
   for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
     const std::uint64_t ppn = first + p;
-    const std::uint64_t lpn = rmap_[ppn];
-    if (lpn == kUnmapped) continue;
+    const std::uint32_t packed = rmap_[ppn];
+    if (packed == kNoLpn) continue;
     BANDSLIM_RETURN_IF_ERROR(nand_->Read(ppn, MutByteSpan(tmp)));
     const bool retain = nand_->HasRetainedData(ppn);
     // A media failure while replaying the page retries on a fresh GC
@@ -230,9 +248,9 @@ Status PageFtl::RelocateValidPages(std::uint64_t block) {
       ++program_failures_;
       if (tries >= config_.max_program_retries) return programmed;
     }
-    rmap_[ppn] = kUnmapped;
-    rmap_[new_ppn] = lpn;
-    map_[lpn] = new_ppn;
+    rmap_[ppn] = kNoLpn;
+    rmap_[new_ppn] = packed;
+    Entry(packed) = static_cast<std::uint32_t>(new_ppn);
     ++valid_pages_[geom.BlockOf(new_ppn)];
     --valid_pages_[block];
     ++gc_relocated_pages_;
@@ -368,6 +386,10 @@ Status PageFtl::MarkBad(std::uint64_t block) {
 
 Status PageFtl::Write(std::uint64_t lpn, ByteSpan data, Stream stream,
                       bool retain) {
+  std::uint32_t packed;
+  if (!Pack(lpn, &packed)) {
+    return Status::InvalidArgument("lpn outside the logical page partitions");
+  }
   Status last = Status::Ok();
   for (std::uint32_t attempt = 0; attempt <= config_.max_program_retries;
        ++attempt) {
@@ -375,10 +397,17 @@ Status PageFtl::Write(std::uint64_t lpn, ByteSpan data, Stream stream,
     if (!ppn.ok()) return ppn.status();  // Clean kOutOfSpace, never retried.
     last = nand_->Program(ppn.value(), data, retain);
     if (last.ok()) {
-      auto it = map_.find(lpn);
-      if (it != map_.end()) Invalidate(it->second);
-      map_[lpn] = ppn.value();
-      rmap_[ppn.value()] = lpn;
+      // Looked up only now: GC during AllocatePage may have moved the page.
+      std::vector<std::uint32_t>& map = map_[packed >> kLpnIndexBits];
+      const std::uint32_t index = packed & kIndexMask;
+      if (index >= map.size()) map.resize(index + 1, kNoPpn);
+      if (map[index] == kNoPpn) {
+        ++mapped_pages_;
+      } else {
+        Invalidate(map[index]);
+      }
+      map[index] = static_cast<std::uint32_t>(ppn.value());
+      rmap_[ppn.value()] = packed;
       ++valid_pages_[nand_->geometry().BlockOf(ppn.value())];
       stream_programs_[static_cast<int>(stream)]->Increment();
       return Status::Ok();
@@ -396,26 +425,23 @@ Status PageFtl::Write(std::uint64_t lpn, ByteSpan data, Stream stream,
 }
 
 Status PageFtl::Read(std::uint64_t lpn, MutByteSpan out) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) {
-    return Status::NotFound("unmapped logical NAND page");
-  }
-  return nand_->Read(it->second, out);
+  const std::uint32_t ppn = Lookup(lpn);
+  if (ppn == kNoPpn) return Status::NotFound("unmapped logical NAND page");
+  return nand_->Read(ppn, out);
 }
 
 Status PageFtl::ReadView(std::uint64_t lpn, std::shared_ptr<const Bytes>* out) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) {
-    return Status::NotFound("unmapped logical NAND page");
-  }
-  return nand_->ReadView(it->second, out);
+  const std::uint32_t ppn = Lookup(lpn);
+  if (ppn == kNoPpn) return Status::NotFound("unmapped logical NAND page");
+  return nand_->ReadView(ppn, out);
 }
 
 Status PageFtl::Trim(std::uint64_t lpn) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) return Status::Ok();
-  Invalidate(it->second);
-  map_.erase(it);
+  const std::uint32_t ppn = Lookup(lpn);
+  if (ppn == kNoPpn) return Status::Ok();
+  Entry(rmap_[ppn]) = kNoPpn;
+  Invalidate(ppn);
+  --mapped_pages_;
   return Status::Ok();
 }
 

@@ -4,15 +4,26 @@
 // with out-of-place updates, per-stream active blocks (vLog appends, LSM
 // SSTables and GC relocations go to separate blocks), and greedy garbage
 // collection over fully-programmed blocks.
+//
+// The maps are flat arrays (FEMU's maptbl/rmap shape): the forward map is one
+// dense u32 ppn vector per logical-page partition (ftl/lpn_space.h), grown on
+// demand from the partition base; the reverse map holds one packed u32
+// (partition, index) per physical page. A read, a write's map update and a
+// GC relocation are array indexing, never a hash probe. The contract the map
+// relies on: every lpn lies inside a partition (Write rejects others), and
+// each owner allocates upwards from its partition base, because a partition's
+// map is as long as the highest lpn written to it and never shrinks.
+// Physical page numbers are 32-bit, so a geometry must stay within
+// kMaxPhysicalPages.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "ftl/lpn_space.h"
 #include "nand/nand_flash.h"
 #include "stats/metrics.h"
 #include "telemetry/event_log.h"
@@ -55,6 +66,11 @@ struct FtlConfig {
 
 class PageFtl {
  public:
+  // Largest geometry the 32-bit maps can address (~0u marks a map hole).
+  static constexpr std::uint64_t kMaxPhysicalPages = 0xFFFFFFFFULL;
+
+  // Requires nand->geometry().total_pages() <= kMaxPhysicalPages
+  // (KvSsd::Open rejects larger geometries).
   PageFtl(nand::NandFlash* nand, stats::MetricsRegistry* metrics,
           FtlConfig config = {}, trace::Tracer* tracer = nullptr,
           telemetry::EventLog* event_log = nullptr);
@@ -62,10 +78,12 @@ class PageFtl {
   // Writes one logical page (out-of-place; remaps if already mapped). A
   // program media failure retires the block — surviving co-located pages
   // are replayed onto fresh blocks byte-for-byte — and retries on a new
-  // allocation up to FtlConfig::max_program_retries times.
+  // allocation up to FtlConfig::max_program_retries times. An lpn outside
+  // the partitions of ftl/lpn_space.h is InvalidArgument, before any program.
   [[nodiscard]] Status Write(std::uint64_t lpn, ByteSpan data, Stream stream,
                              bool retain);
 
+  // NotFound for an unmapped lpn, including one outside the partitions.
   [[nodiscard]] Status Read(std::uint64_t lpn, MutByteSpan out);
 
   // Zero-copy variant of Read: see NandFlash::ReadView. Same mapping
@@ -73,9 +91,10 @@ class PageFtl {
   [[nodiscard]] Status ReadView(std::uint64_t lpn,
                                 std::shared_ptr<const Bytes>* out);
 
-  bool IsMapped(std::uint64_t lpn) const { return map_.contains(lpn); }
+  bool IsMapped(std::uint64_t lpn) const { return Lookup(lpn) != kNoPpn; }
 
-  // Drops the mapping; the physical page becomes garbage for GC.
+  // Drops the mapping; the physical page becomes garbage for GC. Ok (a
+  // no-op) for an unmapped lpn.
   [[nodiscard]] Status Trim(std::uint64_t lpn);
 
   std::uint64_t free_blocks() const {
@@ -83,7 +102,7 @@ class PageFtl {
   }
   std::uint64_t gc_relocated_pages() const { return gc_relocated_pages_; }
   std::uint64_t gc_runs() const { return gc_runs_; }
-  std::uint64_t mapped_pages() const { return map_.size(); }
+  std::uint64_t mapped_pages() const { return mapped_pages_; }
   std::uint64_t bad_blocks() const { return bad_block_count_; }
   bool IsBad(std::uint64_t block) const { return bad_[block]; }
   // Fault-handling outcomes (zero on a perfect device).
@@ -107,6 +126,21 @@ class PageFtl {
 
  private:
   static constexpr std::uint64_t kUnmapped = ~0ULL;
+  static constexpr std::uint32_t kNoPpn = ~0u;  // Forward-map hole.
+  static constexpr std::uint32_t kNoLpn = ~0u;  // Reverse-map hole.
+  static constexpr std::uint32_t kIndexMask = (1u << kLpnIndexBits) - 1;
+
+  // Packed reverse-map entry of `lpn`: partition in the top two bits, index
+  // within the partition below. False when the lpn lies outside the
+  // partitions or past kMaxPartitionPages.
+  static bool Pack(std::uint64_t lpn, std::uint32_t* packed);
+  // Forward-map entry of a packed lpn (must lie inside the map).
+  std::uint32_t& Entry(std::uint32_t packed) {
+    return map_[packed >> kLpnIndexBits][packed & kIndexMask];
+  }
+  // The ppn `lpn` maps to; kNoPpn when it is unmapped or lies outside the
+  // partitions.
+  std::uint32_t Lookup(std::uint64_t lpn) const;
 
   struct ActiveBlock {
     std::uint64_t block = kUnmapped;
@@ -145,8 +179,10 @@ class PageFtl {
   // log records one kWatermarkLow/kWatermarkCleared pair per excursion.
   bool below_watermark_ = false;
 
-  std::unordered_map<std::uint64_t, std::uint64_t> map_;  // lpn -> ppn.
-  std::vector<std::uint64_t> rmap_;                       // ppn -> lpn.
+  // lpn -> ppn, one vector per partition indexed from its base.
+  std::vector<std::uint32_t> map_[kNumLpnPartitions];
+  std::uint64_t mapped_pages_ = 0;   // Non-hole entries across map_.
+  std::vector<std::uint32_t> rmap_;  // ppn -> packed lpn, or kNoLpn.
   std::vector<std::uint32_t> valid_pages_;                // Per block.
   std::vector<bool> block_full_;                          // Per block.
   std::vector<bool> bad_;                                 // Per block.

@@ -64,6 +64,9 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
   if (value.empty()) {
     return Status::InvalidArgument("empty values are not supported");
   }
+  if (value.size() > kMaxValueSize) {
+    return Status::InvalidArgument("value larger than kMaxValueSize");
+  }
   // write() into the page cache: one kernel crossing + user-copy.
   ChargeKernelPath();
   const std::uint64_t staging_base = RoundDownPow2(synced_until_, kMemPageSize);

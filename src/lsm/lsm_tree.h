@@ -31,10 +31,9 @@
 
 namespace bandslim::lsm {
 
-// Logical-page namespace partitions (the FTL maps a flat logical space;
-// the vLog owns low page numbers).
-inline constexpr std::uint64_t kLsmLpnBase = 1ULL << 40;
-inline constexpr std::uint64_t kManifestLpn = 1ULL << 41;
+// Logical-page namespace partitions the LSM-tree writes (ftl/lpn_space.h).
+using ftl::kLsmLpnBase;
+using ftl::kManifestLpn;
 
 struct LsmConfig {
   std::size_t memtable_limit_bytes = 1 << 20;

@@ -15,6 +15,7 @@ NandFlash::NandFlash(const NandGeometry& geometry, sim::VirtualClock* clock,
       tracer_(tracer),
       page_state_(geometry.total_pages(), 0),
       erase_counts_(geometry.total_blocks(), 0),
+      blocks_(geometry.total_blocks()),
       die_free_at_(geometry.dies(), 0),
       channel_free_at_(geometry.channels, 0),
       die_busy_ns_(geometry.dies(), 0),
@@ -59,7 +60,12 @@ void NandFlash::BookProgramTiming(std::uint64_t phys_page) {
         std::max(channel_free_at_[channel], die_free_at_[die]);
     die_free_at_[die] = prog_start + cost_->nand_program_ns;
     die_busy_ns_[die] += cost_->nand_program_ns;
-    page_ready_at_[phys_page] = die_free_at_[die];
+    BlockStore& store = blocks_[geometry_.BlockOf(phys_page)];
+    if (store.ready_at == nullptr) {
+      store.ready_at =
+          std::make_unique<sim::Nanoseconds[]>(geometry_.pages_per_block);
+    }
+    store.ready_at[geometry_.PageInBlock(phys_page)] = die_free_at_[die];
     die_pending_[die].push_back(die_free_at_[die]);
   } else {
     // Synchronous dispatch still occupies the die: another stream's time
@@ -86,7 +92,7 @@ Status NandFlash::Program(std::uint64_t phys_page, ByteSpan data,
   if (fault_plan_ != nullptr && fault_plan_->PowerLost(clock_->Now())) {
     return Status::IoError("program: power lost");
   }
-  if (page_state_[phys_page] != 0) {
+  if (page_state_[phys_page] != kErasedState) {
     return Status::IoError("program-before-erase violation");
   }
   if (fault_plan_ != nullptr && fault_plan_->enabled() &&
@@ -94,16 +100,21 @@ Status NandFlash::Program(std::uint64_t phys_page, ByteSpan data,
           erase_counts_[geometry_.BlockOf(phys_page)], phys_page)) {
     // The die works (and stays busy) for the full program before reporting
     // the failure; the page holds garbage until its block is erased.
-    page_state_[phys_page] = 1;
-    failed_pages_.insert(phys_page);
+    page_state_[phys_page] = kFailedState;
     BookProgramTiming(phys_page);
     ++program_failures_;
     program_failures_counter_->Increment();
     return Status::MediaError("program failed");
   }
-  page_state_[phys_page] = 1;
+  page_state_[phys_page] = kProgrammedState;
   if (retain_data && !data.empty()) {
-    data_[phys_page] = std::make_shared<const Bytes>(data.begin(), data.end());
+    BlockStore& store = blocks_[geometry_.BlockOf(phys_page)];
+    if (store.payload == nullptr) {
+      store.payload = std::make_unique<std::shared_ptr<const Bytes>[]>(
+          geometry_.pages_per_block);
+    }
+    store.payload[geometry_.PageInBlock(phys_page)] =
+        std::make_shared<const Bytes>(data.begin(), data.end());
   }
   BookProgramTiming(phys_page);
   ++pages_programmed_;
@@ -124,35 +135,37 @@ Status NandFlash::ReadImpl(std::uint64_t phys_page, std::size_t bytes,
   if (fault_plan_ != nullptr && fault_plan_->PowerLost(clock_->Now())) {
     return Status::IoError("read: power lost");
   }
-  if (page_state_[phys_page] == 0) {
+  const std::uint8_t state = page_state_[phys_page];
+  if (state == kErasedState) {
     return Status::IoError("read of erased page");
   }
-  if (failed_pages_.contains(phys_page)) {
+  if (state == kFailedState) {
     return Status::MediaError("read of a failed-program page");
   }
+  const std::uint64_t block = geometry_.BlockOf(phys_page);
+  const std::uint32_t page = geometry_.PageInBlock(phys_page);
   fault::FaultPlan::ReadOutcome outcome = fault::FaultPlan::ReadOutcome::kOk;
   if (fault_plan_ != nullptr && fault_plan_->enabled()) {
-    outcome = fault_plan_->NextReadOutcome(
-        erase_counts_[geometry_.BlockOf(phys_page)], phys_page);
+    outcome = fault_plan_->NextReadOutcome(erase_counts_[block], phys_page);
   }
+  BlockStore& store = blocks_[block];
   // An in-flight program must land before the page is readable.
-  auto ready = page_ready_at_.find(phys_page);
-  if (ready != page_ready_at_.end()) {
-    if (ready->second > clock_->Now()) {
-      const sim::Nanoseconds wait = ready->second - clock_->Now();
+  if (store.ready_at != nullptr) {
+    sim::Nanoseconds& ready = store.ready_at[page];
+    if (ready > clock_->Now()) {
+      const sim::Nanoseconds wait = ready - clock_->Now();
       clock_->Advance(wait);
       ++read_stalls_;
       read_stall_ns_ += wait;
     }
-    page_ready_at_.erase(ready);
+    ready = 0;
   }
-  auto it = data_.find(phys_page);
-  *payload = it == data_.end() ? nullptr : it->second;
+  *payload = store.payload == nullptr ? nullptr : store.payload[page];
   *fetched = true;
   if (cost_->nand_async_program) {
     // Reads are synchronous to the caller but contend on the die and the
     // channel bus like any other operation.
-    const std::uint64_t die = DieOf(geometry_.BlockOf(phys_page));
+    const std::uint64_t die = DieOf(block);
     const std::uint32_t channel = ChannelOf(die);
     clock_->AdvanceTo(die_free_at_[die]);
     const sim::Nanoseconds sense_end = clock_->Now() + cost_->nand_read_ns;
@@ -164,7 +177,7 @@ Status NandFlash::ReadImpl(std::uint64_t phys_page, std::size_t bytes,
     channel_busy_ns_[channel] += cost_->nand_channel_xfer_ns;
     clock_->AdvanceTo(channel_free_at_[channel]);
   } else {
-    const std::uint64_t die = DieOf(geometry_.BlockOf(phys_page));
+    const std::uint64_t die = DieOf(block);
     clock_->AdvanceTo(die_free_at_[die]);
     clock_->Advance(cost_->nand_read_ns);
     die_free_at_[die] = clock_->Now();
@@ -236,12 +249,9 @@ Status NandFlash::Erase(std::uint64_t block) {
     return Status::MediaError("erase failed");
   }
   const std::uint64_t first = geometry_.PageIndex(block, 0);
-  for (std::uint32_t p = 0; p < geometry_.pages_per_block; ++p) {
-    page_state_[first + p] = 0;
-    data_.erase(first + p);
-    page_ready_at_.erase(first + p);
-    failed_pages_.erase(first + p);
-  }
+  std::fill_n(page_state_.begin() + static_cast<std::ptrdiff_t>(first),
+              geometry_.pages_per_block, kErasedState);
+  blocks_[block] = BlockStore{};  // Drops payloads and ready times.
   ++erase_counts_[block];
   if (cost_->nand_async_program) {
     // No data crosses the channel; the die is busy for the erase.

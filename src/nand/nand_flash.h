@@ -8,13 +8,18 @@
 // in which case only the page state (and byte count) is tracked and reads
 // return zeros. Benches use this to sweep millions of multi-KiB values
 // without materializing gigabytes of RAM; tests retain everything.
+//
+// Page store: one state byte per physical page (erased, programmed, or a
+// failed program) plus one record per block that holds the block's retained
+// payloads and, under CostModel::nand_async_program, its pages' ready times.
+// A record's tables are allocated on first use and released at erase, so a
+// read is array indexing and payload memory follows the blocks that retain
+// data.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -54,22 +59,37 @@ class NandFlash {
   // Zero-copy read: identical checks, fault draws, and timing charges to
   // Read(), but hands back the retained payload instead of copying a page.
   // `*out` becomes nullptr for pages programmed with retain_data = false
-  // (their bytes read as zeros). The shared_ptr stays valid even if the
-  // block is later erased or reprogrammed — exactly the lifetime a caller-
-  // side copy would have had — because programs always install a fresh
-  // immutable buffer.
+  // (their bytes read as zeros). Lifetime: the view shares ownership of an
+  // immutable buffer, so it keeps reading the bytes it was taken on after
+  // the block is erased (which only drops the store's reference) or
+  // reprogrammed (which installs a fresh buffer) — exactly the lifetime a
+  // caller-side copy would have had.
   [[nodiscard]] Status ReadView(std::uint64_t phys_page,
                                 std::shared_ptr<const Bytes>* out);
 
   [[nodiscard]] Status Erase(std::uint64_t block);
 
+  // A failed-program page reports kProgrammed: it is occupied (and
+  // unreadable) until its block is erased.
   PageState StateOf(std::uint64_t phys_page) const {
-    return static_cast<PageState>(page_state_[phys_page]);
+    return page_state_[phys_page] == kErasedState ? PageState::kErased
+                                                  : PageState::kProgrammed;
   }
 
   // Whether a programmed page's payload was retained (see class comment).
   bool HasRetainedData(std::uint64_t phys_page) const {
-    return data_.contains(phys_page);
+    const BlockStore& store = blocks_[geometry_.BlockOf(phys_page)];
+    return store.payload != nullptr &&
+           store.payload[geometry_.PageInBlock(phys_page)] != nullptr;
+  }
+
+  // Async dispatch: when the in-flight program of `phys_page` lands. 0 once
+  // the page has been read, after erase, and in synchronous mode.
+  sim::Nanoseconds PageReadyAt(std::uint64_t phys_page) const {
+    const BlockStore& store = blocks_[geometry_.BlockOf(phys_page)];
+    return store.ready_at == nullptr
+               ? 0
+               : store.ready_at[geometry_.PageInBlock(phys_page)];
   }
 
   std::uint64_t pages_programmed() const { return pages_programmed_; }
@@ -131,6 +151,21 @@ class NandFlash {
   // Books the timing of one program attempt (successful or failed — the die
   // is busy either way).
   void BookProgramTiming(std::uint64_t phys_page);
+
+  // page_state_ values. kFailedState reads as kProgrammed through StateOf.
+  static constexpr std::uint8_t kErasedState = 0;
+  static constexpr std::uint8_t kProgrammedState = 1;
+  static constexpr std::uint8_t kFailedState = 2;
+
+  // One block's page store; both tables hold pages_per_block entries.
+  struct BlockStore {
+    // Retained payloads (null: not retained). Immutable once installed,
+    // so ReadView can hand out shared references.
+    std::unique_ptr<std::shared_ptr<const Bytes>[]> payload;
+    // nand_async_program only: when each in-flight page becomes readable
+    // (0: landed and read, or never in flight).
+    std::unique_ptr<sim::Nanoseconds[]> ready_at;
+  };
   bool PowerLost() const {
     return fault_plan_ != nullptr && fault_plan_->power_lost();
   }
@@ -143,21 +178,15 @@ class NandFlash {
 
   std::vector<std::uint8_t> page_state_;       // One entry per physical page.
   std::vector<std::uint32_t> erase_counts_;    // One entry per block (wear).
-  // Sparse retained payloads. Immutable once installed (a reprogram swaps
-  // in a fresh buffer), so ReadView can hand out shared references.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Bytes>> data_;
-  // Pages whose program failed: unreadable until their block is erased.
-  std::unordered_set<std::uint64_t> failed_pages_;
+  std::vector<BlockStore> blocks_;             // One entry per block.
 
   // Parallel dispatch: per-resource busy-until timelines (absolute virtual
-  // time), per-die pending-completion queues (backpressure bound), and when
-  // each in-flight page becomes readable.
+  // time) and per-die pending-completion queues (backpressure bound).
   std::vector<sim::Nanoseconds> die_free_at_;
   std::vector<sim::Nanoseconds> channel_free_at_;
   std::vector<sim::Nanoseconds> die_busy_ns_;
   std::vector<sim::Nanoseconds> channel_busy_ns_;
   std::vector<std::deque<sim::Nanoseconds>> die_pending_;
-  std::unordered_map<std::uint64_t, sim::Nanoseconds> page_ready_at_;
 
   std::uint64_t pages_programmed_ = 0;
   std::uint64_t pages_read_ = 0;

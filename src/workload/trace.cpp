@@ -83,6 +83,10 @@ Result<OpList> ReadTrace(std::istream& in) {
       if (parsed.ec != std::errc() || parsed.ptr != end || op.value_size == 0) {
         return Status::Corruption("bad put size '" + size + "'" + where);
       }
+      if (op.value_size > kMaxValueSize) {
+        return Status::InvalidArgument("put size " + size +
+                                       " exceeds kMaxValueSize" + where);
+      }
     } else if (kind == "get") {
       op.kind = OpKind::kGet;
     } else if (kind == "del") {

@@ -16,7 +16,9 @@ namespace bandslim::workload {
 
 // Serialization. Keys are hex-encoded (they may contain arbitrary bytes).
 // A trace records kind, key and PUT size; ReadTrace stamps a PUT's value
-// with its op index over 0xA5, the bytes PutOps gives the same op.
+// with its op index over 0xA5, the bytes PutOps gives the same op. A
+// malformed line is Corruption; a PUT size above kMaxValueSize is
+// InvalidArgument, reported before any value is allocated.
 void WriteTrace(const OpList& ops, std::ostream& out);
 Result<OpList> ReadTrace(std::istream& in);
 

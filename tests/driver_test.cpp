@@ -132,6 +132,30 @@ TEST(DriverTest, KeyValidation) {
   EXPECT_FALSE(ssd->Get("").ok());
 }
 
+TEST(DriverTest, OversizeValueRejectedBeforeAnyCommand) {
+  auto ssd = OpenWith(TransferMethod::kAdaptive);
+  Bytes big(kMaxValueSize + 1, 3);
+  const Status st = ssd->Put("big", ByteSpan(big));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  const std::vector<KvDriver::KvPair> batch = {{"a", big}};
+  const Status bst = ssd->PutBatch(batch);
+  EXPECT_EQ(bst.code(), StatusCode::kInvalidArgument) << bst.ToString();
+  EXPECT_EQ(ssd->GetStats().commands_submitted, 0u);
+  // The bound itself is a legal value on a device whose page-buffer window
+  // (default: 512 x 16 KiB) can stage it.
+  KvSsdOptions o = SmallOptions();
+  o.buffer = buffer::BufferConfig{};
+  auto opened = KvSsd::Open(o);
+  ASSERT_TRUE(opened.ok());
+  ssd = std::move(opened).value();
+  Bytes max(kMaxValueSize, 4);
+  const Status mst = ssd->Put("max", ByteSpan(max));
+  ASSERT_TRUE(mst.ok()) << mst.ToString();
+  auto back = ssd->Get("max");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), max);
+}
+
 TEST(DriverTest, DeleteAndExists) {
   auto ssd = OpenWith(TransferMethod::kAdaptive);
   Bytes v(40, 2);

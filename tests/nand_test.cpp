@@ -128,6 +128,67 @@ TEST_F(NandFlashTest, EraseClearsRetainedData) {
   EXPECT_FALSE(nand_.HasRetainedData(0));
 }
 
+TEST(NandFaultTest, FailedProgramUnreadableUntilErase) {
+  fault::FaultConfig cfg;
+  cfg.triggers.push_back({fault::FaultSite::kNandProgram, 0});
+  fault::FaultPlan plan(cfg);
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  stats::MetricsRegistry metrics;
+  NandFlash nand(SmallGeometry(), &clock, &cost, &metrics, &plan);
+
+  Bytes data = workload::MakeValue(64, 5, 5);
+  EXPECT_TRUE(nand.Program(3, ByteSpan(data), true).IsMediaError());
+  EXPECT_EQ(nand.StateOf(3), PageState::kProgrammed);
+  EXPECT_FALSE(nand.HasRetainedData(3));
+  Bytes back(64);
+  EXPECT_TRUE(nand.Read(3, MutByteSpan(back)).IsMediaError());
+  std::shared_ptr<const Bytes> view;
+  EXPECT_TRUE(nand.ReadView(3, &view).IsMediaError());
+  // Still occupied: no reprogram before erase.
+  EXPECT_EQ(nand.Program(3, ByteSpan(data), true).code(), StatusCode::kIoError);
+
+  ASSERT_TRUE(nand.Erase(0).ok());  // Page 3 is in block 0.
+  EXPECT_EQ(nand.StateOf(3), PageState::kErased);
+  ASSERT_TRUE(nand.Program(3, ByteSpan(data), true).ok());
+  ASSERT_TRUE(nand.Read(3, MutByteSpan(back)).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(nand.program_failures(), 1u);
+}
+
+TEST_F(NandFlashTest, ViewOutlivesEraseAndReprogram) {
+  Bytes old_bytes = workload::MakeValue(kNandPageSize, 6, 6);
+  ASSERT_TRUE(nand_.Program(1, ByteSpan(old_bytes), true).ok());
+  std::shared_ptr<const Bytes> view;
+  ASSERT_TRUE(nand_.ReadView(1, &view).ok());
+  ASSERT_NE(view, nullptr);
+
+  ASSERT_TRUE(nand_.Erase(0).ok());
+  EXPECT_FALSE(nand_.HasRetainedData(1));
+  Bytes new_bytes = workload::MakeValue(kNandPageSize, 7, 7);
+  ASSERT_TRUE(nand_.Program(1, ByteSpan(new_bytes), true).ok());
+
+  EXPECT_EQ(*view, old_bytes);  // The view still reads what it was taken on.
+  std::shared_ptr<const Bytes> fresh;
+  ASSERT_TRUE(nand_.ReadView(1, &fresh).ok());
+  EXPECT_EQ(*fresh, new_bytes);
+}
+
+TEST_F(NandFlashTest, RetainedPayloadsArePerPage) {
+  // Only page 2 of block 0 retains its bytes; its neighbours read zeros.
+  Bytes kept = workload::MakeValue(64, 8, 8);
+  Bytes dropped = workload::MakeValue(64, 9, 9);
+  ASSERT_TRUE(nand_.Program(1, ByteSpan(dropped), false).ok());
+  ASSERT_TRUE(nand_.Program(2, ByteSpan(kept), true).ok());
+  EXPECT_FALSE(nand_.HasRetainedData(1));
+  EXPECT_TRUE(nand_.HasRetainedData(2));
+  EXPECT_FALSE(nand_.HasRetainedData(3));
+  Bytes back(64, 0xFF);
+  ASSERT_TRUE(nand_.Read(1, MutByteSpan(back)).ok());
+  EXPECT_EQ(back, Bytes(64, 0));
+  ASSERT_TRUE(nand_.Read(2, MutByteSpan(back)).ok());
+  EXPECT_EQ(back, kept);
+}
 
 // --------------------- Async (multi-die) program mode ----------------------
 
@@ -171,6 +232,27 @@ TEST_F(AsyncNandTest, LandedProgramCostsNoStall) {
   Bytes back(64);
   ASSERT_TRUE(nand_->Read(0, MutByteSpan(back)).ok());
   EXPECT_EQ(nand_->read_stalls(), 0u);
+}
+
+TEST_F(AsyncNandTest, EraseClearsInFlightReadyTimes) {
+  Bytes data(64, 1);
+  ASSERT_TRUE(nand_->Program(0, ByteSpan(data), true).ok());
+  ASSERT_TRUE(nand_->Program(1, ByteSpan(data), true).ok());
+  EXPECT_GT(nand_->PageReadyAt(0), 0u);
+  EXPECT_GT(nand_->PageReadyAt(1), 0u);
+  ASSERT_TRUE(nand_->Erase(0).ok());  // Both pages still in flight.
+  EXPECT_EQ(nand_->PageReadyAt(0), 0u);
+  EXPECT_EQ(nand_->PageReadyAt(1), 0u);
+
+  // A reprogram books a fresh ready time; a read waits it out, then clears it.
+  ASSERT_TRUE(nand_->Program(0, ByteSpan(data), true).ok());
+  const sim::Nanoseconds ready = nand_->PageReadyAt(0);
+  EXPECT_GT(ready, clock_.Now());
+  Bytes back(64);
+  ASSERT_TRUE(nand_->Read(0, MutByteSpan(back)).ok());
+  EXPECT_EQ(nand_->read_stalls(), 1u);
+  EXPECT_EQ(nand_->PageReadyAt(0), 0u);
+  EXPECT_EQ(back, data);
 }
 
 TEST_F(AsyncNandTest, DifferentDiesRunInParallel) {

@@ -115,6 +115,15 @@ TEST(TraceTest, RejectsMalformedLines) {
   }
 }
 
+TEST(TraceTest, RejectsOversizePutBeforeAllocating) {
+  std::stringstream ss("put 6b 100000000\n");
+  const auto trace = ReadTrace(ss);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  std::stringstream at_bound("put 6b " + std::to_string(kMaxValueSize) + "\n");
+  ASSERT_TRUE(ReadTrace(at_bound).ok());
+}
+
 TEST(TraceTest, TraceFromSpecIsDeterministic) {
   // A put spec's op list is reproducible, and its trace reads back to the
   // same keys, sizes and value stamps.
