@@ -1,12 +1,17 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
-// hash-indexed MemTable, NAND page buffer packing, SSTable serialization,
-// the FTL/NAND read path.
+// hash-indexed MemTable (insert, lookup, key-order sort), NAND page buffer
+// packing, the compaction merge cursor and table builder, the FTL/NAND read
+// path.
 // These measure *simulator* (wall-clock) performance, not modeled device
 // time — they exist to keep the simulation itself fast.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "buffer/page_buffer.h"
 #include "ftl/ftl.h"
+#include "lsm/compaction.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "nvme/command.h"
@@ -88,28 +93,85 @@ void BM_BufferPackPiggybacked(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPackPiggybacked)->Arg(32)->Arg(512)->Arg(4096);
 
-void BM_SSTableEncodeDecode(benchmark::State& state) {
-  std::vector<lsm::SSTableEntry> entries;
-  workload::UniqueHashKeyGenerator keys(3);
-  for (int i = 0; i < 1000; ++i) {
-    entries.push_back({keys.Next(), {static_cast<std::uint64_t>(i), 8, false}});
-  }
+void BM_MemTableBegin(benchmark::State& state) {
+  // Host cost of building key order for a flush: Begin() over a MemTable
+  // refilled (untimed) with `n` Workload-M keys in hash order each round.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  workload::UniqueHashKeyGenerator keys(11);
+  std::vector<std::string> inserted;
+  for (std::size_t i = 0; i < n; ++i) inserted.push_back(keys.Next());
+  lsm::MemTable mem(1);
   for (auto _ : state) {
-    Bytes stream;
-    for (const auto& e : entries) lsm::EncodeEntry(&stream, e);
-    std::size_t offset = 0;
-    lsm::SSTableEntry out;
-    for (int i = 0; i < 1000; ++i) {
-      if (!lsm::DecodeEntry(ByteSpan(stream), &offset, &out).ok()) {
-        state.SkipWithError("decode failed");
+    state.PauseTiming();
+    mem.Clear();
+    for (const std::string& k : inserted) mem.Put(k, lsm::ValueRef{1, 1, false});
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(mem.Begin().key());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_MemTableBegin)->Arg(12000)->Arg(200000);
+
+void BM_CompactionMergeBuild(benchmark::State& state) {
+  // Host cost of one compaction's merge-and-write: a MergeCursor over a
+  // newer run (every fourth key, overwritten) and an older run chained from
+  // 16 tables streams into a TableBuilder splitting at 64 KiB, which
+  // encodes, programs and fence-keys every page. Workload-M 4-byte keys.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  workload::UniqueHashKeyGenerator keys(3);
+  std::vector<lsm::PackedEntry> older;
+  for (std::size_t i = 0; i < n; ++i) {
+    older.push_back(lsm::PackedEntry::Make(keys.Next(), {i, 8, false}));
+  }
+  std::sort(older.begin(), older.end(),
+            [](const lsm::PackedEntry& a, const lsm::PackedEntry& b) {
+              return a.order() < b.order();
+            });
+  std::vector<lsm::PackedEntry> newer;
+  for (std::size_t i = 0; i < n; i += 4) {
+    newer.push_back(older[i]);
+    newer.back().ref.addr += n;
+  }
+  lsm::MergeRun chained;
+  for (std::size_t t = 0; t < 16; ++t) {
+    chained.emplace_back(older.data() + n * t / 16, n * (t + 1) / 16 - n * t / 16);
+  }
+  nand::NandGeometry geometry;
+  geometry.channels = 1;
+  geometry.ways = 2;
+  geometry.blocks_per_die = 64;
+  geometry.pages_per_block = 64;
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  stats::MetricsRegistry metrics;
+  std::unique_ptr<nand::NandFlash> nand;
+  std::unique_ptr<ftl::PageFtl> ftl;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ftl.reset();
+    nand = std::make_unique<nand::NandFlash>(geometry, &clock, &cost, &metrics);
+    ftl = std::make_unique<ftl::PageFtl>(nand.get(), &metrics);
+    state.ResumeTiming();
+    lsm::MergeCursor cursor({{{newer.data(), newer.size()}}, chained},
+                            /*drop_tombstones=*/false);
+    std::uint64_t id = 1;
+    std::uint64_t lpn = ftl::kLsmLpnBase;
+    std::size_t tables = 0;
+    lsm::TableBuilder builder(
+        ftl.get(), 64 << 10, n + newer.size(), &id, &lpn,
+        [&](lsm::SSTableMeta, std::vector<lsm::PackedEntry>) { ++tables; });
+    for (; cursor.Valid(); cursor.Next()) {
+      if (!builder.Add(cursor.entry()).ok()) {
+        state.SkipWithError("program failed");
         break;
       }
     }
-    benchmark::DoNotOptimize(out);
+    if (!builder.Finish().ok()) state.SkipWithError("finish failed");
+    benchmark::DoNotOptimize(tables);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_SSTableEncodeDecode);
+BENCHMARK(BM_CompactionMergeBuild)->Arg(50000);
 
 void BM_FtlReadView(benchmark::State& state) {
   // Host cost of the physical layer on a vLog page read: FTL map lookup,

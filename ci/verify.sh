@@ -263,6 +263,27 @@ shard_scaling() {
   echo "shard scaling: N=1 identity + 4-shard speedup gates passed, CSV well-formed"
 }
 
+# Figure pins: each paper figure's stdout at --ops=3000 must match its
+# golden file under bench/golden/ byte for byte (every number, not just the
+# anchors figure_anchor_test bounds). The seven benches run concurrently.
+figure_golden() {
+  local build_dir="$1" golden name
+  echo "=== verify pass: figure golden outputs (${build_dir}) ==="
+  local -a pids=()
+  for golden in bench/golden/fig*.txt; do
+    name="$(basename "${golden}" .txt)"
+    "${build_dir}/bench/${name}" --ops=3000 > "${build_dir}/${name}.out" &
+    pids+=($!)
+  done
+  local pid
+  for pid in "${pids[@]}"; do wait "${pid}"; done
+  for golden in bench/golden/fig*.txt; do
+    name="$(basename "${golden}" .txt)"
+    cmp "${build_dir}/${name}.out" "${golden}"
+  done
+  echo "figure golden: ${#pids[@]} figures byte-identical to bench/golden/"
+}
+
 # One matrix leg's gates against an already-built tree. Sanitized runs are
 # slower, so the asan-ubsan leg scales the cluster workloads down.
 # Repository benchmark smoke run: one second per workload with per-layer
@@ -285,6 +306,7 @@ leg_gates() {
     asan-ubsan) fleet_ops=1200 tenant_ops=1500 shard_ops=1500 ;;
     *) echo "unknown leg: ${leg} (release|asan-ubsan)" >&2; return 2 ;;
   esac
+  figure_golden "${build_dir}"
   fault_campaign "${build_dir}"
   trace_export "${build_dir}"
   trace_roundtrip "${build_dir}"

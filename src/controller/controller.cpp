@@ -104,7 +104,7 @@ CqEntry KvController::HandleWrite(const NvmeCommand& cmd,
     Status dma_status;
     if (config_.nand_io_enabled) {
       auto res = vlog_->buffer().ReserveDma(prp_bytes, value_size);
-      if (!res.ok()) return Fail(CqStatus::kOutOfSpace, queue_id);
+      if (!res.ok()) return Fail(CqStatusFromStatus(res.status()), queue_id);
       op.reservation = res.value();
       dma_status = dma_->HostToDevice(
           cmd.prp, op.reservation.dest_addr, [&](std::uint64_t off) {
@@ -442,7 +442,7 @@ CqEntry KvController::HandleIterSeek(const NvmeCommand& cmd) {
   std::array<std::uint8_t, kMaxKeySize> key_buf;
   const std::size_t key_len = cmd.CopyKeyTo({key_buf.data(), key_buf.size()});
   iter.value()->Seek(
-      std::string(reinterpret_cast<const char*>(key_buf.data()), key_len));
+      std::string_view(reinterpret_cast<const char*>(key_buf.data()), key_len));
   const std::uint32_t id = next_iterator_id_++;
   iterators_[id] = std::move(iter).value();
   return CqEntry{id, 0, CqStatus::kSuccess};
@@ -457,7 +457,7 @@ CqEntry KvController::HandleIterNext(const NvmeCommand& cmd) {
   if (!iter.Valid()) return CqEntry{0, 0, CqStatus::kIteratorExhausted};
 
   // Record format shipped to the host: [u8 key_len][key][u32 vsize][value].
-  const std::string& key = iter.key();
+  const std::string_view key = iter.key();
   const lsm::ValueRef& ref = iter.ref();
   const std::size_t needed = 1 + key.size() + 4 + ref.size;
   if (cmd.prp.DmaBytes() < needed) {
@@ -497,7 +497,7 @@ CqEntry KvController::HandleIterNextBatch(const NvmeCommand& cmd) {
   std::size_t off = 0;
   std::uint32_t records = 0;
   while (iter.Valid()) {
-    const std::string& key = iter.key();
+    const std::string_view key = iter.key();
     const lsm::ValueRef& ref = iter.ref();
     const std::size_t needed = 1 + key.size() + 4 + ref.size;
     if (off + needed > capacity) break;
@@ -596,7 +596,7 @@ Result<std::uint64_t> KvController::CollectVlogSegment() {
     return -1;
   };
   BANDSLIM_RETURN_IF_ERROR(lsm_->ForEachLive(
-      [&](const std::string&, const lsm::ValueRef& ref) {
+      [&](std::string_view, const lsm::ValueRef& ref) {
         const int seg = segment_of(ref.addr);
         if (seg >= 0) live_bytes[static_cast<std::size_t>(seg)] += ref.size;
       }));
@@ -626,7 +626,7 @@ Result<std::uint64_t> KvController::CollectVlogSegment() {
   // straddler's tail would corrupt it.
   std::vector<std::pair<std::string, lsm::ValueRef>> live;
   BANDSLIM_RETURN_IF_ERROR(lsm_->ForEachLive(
-      [&](const std::string& key, const lsm::ValueRef& ref) {
+      [&](std::string_view key, const lsm::ValueRef& ref) {
         if (ref.addr < hi && ref.addr + ref.size > lo) {
           live.emplace_back(key, ref);
         }

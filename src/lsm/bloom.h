@@ -26,15 +26,19 @@ class BloomFilter {
   // Reconstructs from serialized bits.
   explicit BloomFilter(Bytes bits);
 
-  void Add(std::string_view key);
+  void Add(std::string_view key) { AddHash(Hash(key)); }
+  // Adds a key by its Hash(), so a builder can buffer hashes and size the
+  // filter once the key count is known.
+  void AddHash(std::uint64_t hash);
   // False negatives never happen; false positives at the configured rate.
   bool MayContain(std::string_view key) const;
+
+  static std::uint64_t Hash(std::string_view key);
 
   const Bytes& bits() const { return bits_; }
   bool empty() const { return bits_.empty(); }
 
  private:
-  static std::uint64_t HashKey(std::string_view key);
   // `x % nbits` via Lemire's fastmod (a multiply instead of a hardware
   // divide on every probe). Produces exactly the same bit positions as the
   // plain modulo, so filter contents and false-positive behaviour — and the

@@ -1,68 +1,67 @@
 #include "lsm/compaction.h"
 
-#include <queue>
-
 namespace bandslim::lsm {
 
-std::vector<SSTableEntry> MergeRuns(
-    const std::vector<const std::vector<SSTableEntry>*>& runs,
-    bool drop_tombstones) {
-  // Heap element: (key, run priority, index within run). Lower priority
-  // number = newer run = wins on equal keys.
-  struct Cursor {
-    std::size_t run;
-    std::size_t index;
-  };
-  auto key_of = [&](const Cursor& c) -> const std::string& {
-    return (*runs[c.run])[c.index].key;
-  };
-  auto greater = [&](const Cursor& a, const Cursor& b) {
-    const std::string& ka = key_of(a);
-    const std::string& kb = key_of(b);
-    if (ka != kb) return ka > kb;
-    return a.run > b.run;  // Newer run (smaller index) pops first.
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(greater);
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r]->empty()) heap.push({r, 0});
+MergeCursor::MergeCursor(std::vector<MergeRun> runs, bool drop_tombstones)
+    : runs_(std::move(runs)), drop_tombstones_(drop_tombstones) {
+  sources_.reserve(runs_.size());
+  for (const MergeRun& run : runs_) {
+    Source s{run.data(), run.data() + run.size(), nullptr, nullptr, {}};
+    if (Enter(s)) sources_.push_back(s);
   }
-
-  std::vector<SSTableEntry> merged;
-  std::string last_key;
-  bool have_last = false;
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    const SSTableEntry& e = (*runs[c.run])[c.index];
-    if (!have_last || e.key != last_key) {
-      if (!(drop_tombstones && e.ref.tombstone)) merged.push_back(e);
-      last_key = e.key;
-      have_last = true;
-    }
-    if (c.index + 1 < runs[c.run]->size()) {
-      heap.push({c.run, c.index + 1});
-    }
-  }
-  return merged;
+  Settle();
 }
 
-std::vector<std::vector<SSTableEntry>> SplitRun(std::vector<SSTableEntry> merged,
-                                                std::uint64_t target_bytes) {
-  std::vector<std::vector<SSTableEntry>> out;
-  std::vector<SSTableEntry> current;
-  std::uint64_t bytes = 0;
-  for (SSTableEntry& e : merged) {
-    const std::uint64_t sz = EncodedEntrySize(e);
-    if (!current.empty() && bytes + sz > target_bytes) {
-      out.push_back(std::move(current));
-      current.clear();
-      bytes = 0;
+bool MergeCursor::Enter(Source& s) {
+  for (; s.segment != s.last; ++s.segment) {
+    if (!s.segment->empty()) {
+      s.pos = s.segment->data();
+      s.end = s.pos + s.segment->size();
+      s.head = s.pos->order();
+      return true;
     }
-    bytes += sz;
-    current.push_back(std::move(e));
   }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
+  return false;
+}
+
+void MergeCursor::Advance(std::size_t i) {
+  Source& s = sources_[i];
+  if (++s.pos != s.end) {
+    s.head = s.pos->order();
+    return;
+  }
+  ++s.segment;
+  if (!Enter(s)) sources_.erase(sources_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void MergeCursor::Settle() {
+  current_ = nullptr;
+  while (!sources_.empty()) {
+    // The smallest head; on equal keys the first, i.e. newest, run.
+    std::size_t top = 0;
+    for (std::size_t i = 1; i < sources_.size(); ++i) {
+      if (sources_[i].head < sources_[top].head) top = i;
+    }
+    const Source& s = sources_[top];
+    if (have_last_ && s.head == last_) {
+      Advance(top);  // An older version of the key just settled on.
+      continue;
+    }
+    last_ = s.head;
+    have_last_ = true;
+    if (drop_tombstones_ && s.pos->ref.tombstone) {
+      Advance(top);
+      continue;
+    }
+    top_ = top;
+    current_ = s.pos;
+    return;
+  }
+}
+
+void MergeCursor::Next() {
+  Advance(top_);
+  Settle();
 }
 
 }  // namespace bandslim::lsm

@@ -87,14 +87,14 @@ Status LsmTree::Delete(const std::string& key) {
   return Status::Ok();
 }
 
-Result<std::shared_ptr<const std::vector<SSTableEntry>>> LsmTree::LoadPage(
+Result<std::shared_ptr<const std::vector<PackedEntry>>> LsmTree::LoadPage(
     const SSTableMeta& meta, std::uint32_t page_index) {
   const std::uint64_t lpn = meta.first_lpn + page_index;
   auto it = page_cache_.find(lpn);
   if (it != page_cache_.end()) return it->second;
   auto entries = ReadSSTablePage(ftl_, meta, page_index);
   if (!entries.ok()) return entries.status();
-  auto page = std::make_shared<const std::vector<SSTableEntry>>(
+  auto page = std::make_shared<const std::vector<PackedEntry>>(
       std::move(entries).value());
   page_cache_.emplace(lpn, page);
   page_cache_fifo_.push_back(lpn);
@@ -111,8 +111,21 @@ void LsmTree::InvalidatePages(const SSTableMeta& meta) {
   }
 }
 
+namespace {
+// The entry of `entries` (sorted) whose key has `order`, or nullptr.
+const PackedEntry* FindEntry(const std::vector<PackedEntry>& entries,
+                             const KeyOrder& order) {
+  auto pos = std::partition_point(
+      entries.begin(), entries.end(),
+      [&](const PackedEntry& e) { return e.order() < order; });
+  if (pos == entries.end() || !(pos->order() == order)) return nullptr;
+  return &*pos;
+}
+}  // namespace
+
 Result<const ValueRef*> LsmTree::FindInTable(Table& table,
                                              const std::string& key,
+                                             const KeyOrder& order,
                                              ValueRef* storage) {
   const SSTableMeta& meta = table.meta;
   if (key < meta.min_key || meta.max_key < key) {
@@ -122,24 +135,20 @@ Result<const ValueRef*> LsmTree::FindInTable(Table& table,
     bloom_skip_counter_->Increment();
     return static_cast<const ValueRef*>(nullptr);
   }
-  auto search = [&](const std::vector<SSTableEntry>& entries) -> const ValueRef* {
-    auto pos = std::lower_bound(
-        entries.begin(), entries.end(), key,
-        [](const SSTableEntry& e, const std::string& k) { return e.key < k; });
-    if (pos != entries.end() && pos->key == key) {
-      *storage = pos->ref;
-      return storage;
-    }
-    return nullptr;
+  const auto answer = [&](const std::vector<PackedEntry>& entries) {
+    const PackedEntry* found = FindEntry(entries, order);
+    if (found == nullptr) return static_cast<const ValueRef*>(nullptr);
+    *storage = found->ref;
+    return static_cast<const ValueRef*>(storage);
   };
-  if (table.cache != nullptr) {
-    return search(*table.cache);
-  }
+  if (!table.resident.empty()) return answer(table.resident);
   const int page = meta.PageForKey(key);
   if (page < 0) return static_cast<const ValueRef*>(nullptr);
+  // The page may already have left the cache (page_cache_pages = 0); the
+  // returned reference keeps it alive for this lookup.
   auto entries = LoadPage(meta, static_cast<std::uint32_t>(page));
   if (!entries.ok()) return entries.status();
-  return search(*entries.value());
+  return answer(*entries.value());
 }
 
 Result<ValueRef> LsmTree::Get(const std::string& key) {
@@ -148,10 +157,11 @@ Result<ValueRef> LsmTree::Get(const std::string& key) {
     return *ref;
   }
   ValueRef storage;
+  const KeyOrder order = OrderOf(key);
   // L0 runs may overlap: newest (back) wins.
   auto& l0 = levels_[0];
   for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    auto found = FindInTable(*it, key, &storage);
+    auto found = FindInTable(*it, key, order, &storage);
     if (!found.ok()) return found.status();
     if (found.value() != nullptr) {
       if (found.value()->tombstone) return Status::NotFound();
@@ -165,7 +175,7 @@ Result<ValueRef> LsmTree::Get(const std::string& key) {
         tables.begin(), tables.end(),
         [&](const Table& tab) { return tab.meta.max_key < key; });
     if (t == tables.end() || key < t->meta.min_key) continue;
-    auto found = FindInTable(*t, key, &storage);
+    auto found = FindInTable(*t, key, order, &storage);
     if (!found.ok()) return found.status();
     if (found.value() != nullptr) {
       if (found.value()->tombstone) return Status::NotFound();
@@ -175,15 +185,13 @@ Result<ValueRef> LsmTree::Get(const std::string& key) {
   return Status::NotFound();
 }
 
-Result<std::shared_ptr<const std::vector<SSTableEntry>>> LsmTree::Load(
-    Table& table) {
-  if (table.cache == nullptr) {
+Status LsmTree::Load(Table& table) {
+  if (table.resident.empty()) {
     auto entries = ReadSSTable(ftl_, table.meta);
     if (!entries.ok()) return entries.status();
-    table.cache = std::make_shared<const std::vector<SSTableEntry>>(
-        std::move(entries).value());
+    table.resident = std::move(entries).value();
   }
-  return table.cache;
+  return Status::Ok();
 }
 
 Status LsmTree::FlushMemTable() {
@@ -201,22 +209,20 @@ Status LsmTree::FlushMemTable() {
                        mem_.approximate_bytes(), levels_[0].size());
     }
   }
-  std::vector<SSTableEntry> entries;
-  entries.reserve(mem_.entry_count());
-  for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    entries.push_back({std::string(it.key()), it.ref()});
+  TableBuilder builder(
+      ftl_, TableBuilder::kNoSplit, mem_.entry_count(), &next_table_id_,
+      &next_lpn_, [this](SSTableMeta meta, std::vector<PackedEntry> entries) {
+        levels_[0].push_back({std::move(meta), std::move(entries)});
+      });
+  Status written = Status::Ok();
+  for (auto it = mem_.Begin(); written.ok() && it.Valid(); it.Next()) {
+    written = builder.Add(it.entry());
   }
-  auto meta = WriteSSTable(ftl_, next_table_id_++, next_lpn_, entries);
-  if (!meta.ok()) {
+  if (written.ok()) written = builder.Finish();
+  if (!written.ok()) {
     flush_in_progress_ = false;
-    return meta.status();
+    return written;
   }
-  next_lpn_ += meta.value().page_count;
-  Table table;
-  table.meta = meta.value();
-  table.cache =
-      std::make_shared<const std::vector<SSTableEntry>>(std::move(entries));
-  levels_[0].push_back(std::move(table));
   mem_.Clear();
   ++memtable_flushes_;
   flush_counter_->Increment();
@@ -262,42 +268,90 @@ bool LsmTree::TargetIsBottomMost(int target_level) const {
   return true;
 }
 
-Status LsmTree::DropTable(const Table& table) {
+void LsmTree::DropTable(const Table& table) {
   InvalidatePages(table.meta);
   // Do NOT trim yet: the last durable manifest may still reference this
   // table; a power cycle would otherwise resurrect dangling entries.
-  pending_drops_.push_back(table.meta);
-  return Status::Ok();
+  pending_drops_.push_back({table.meta.first_lpn, table.meta.page_count});
 }
 
 Status LsmTree::TrimPendingDrops() {
-  for (const SSTableMeta& meta : pending_drops_) {
-    for (std::uint32_t p = 0; p < meta.page_count; ++p) {
-      BANDSLIM_RETURN_IF_ERROR(ftl_->Trim(meta.first_lpn + p));
+  for (const PageExtent& drop : pending_drops_) {
+    for (std::uint32_t p = 0; p < drop.page_count; ++p) {
+      BANDSLIM_RETURN_IF_ERROR(ftl_->Trim(drop.first_lpn + p));
     }
   }
   pending_drops_.clear();
   return Status::Ok();
 }
 
-Status LsmTree::WriteMerged(std::vector<SSTableEntry> merged, int target_level,
-                            std::uint64_t* bytes_written) {
-  auto& target = levels_[static_cast<std::size_t>(target_level)];
-  for (auto& out : SplitRun(std::move(merged), config_.sstable_target_bytes)) {
-    auto meta = WriteSSTable(ftl_, next_table_id_++, next_lpn_, out);
-    if (!meta.ok()) return meta.status();
-    if (bytes_written != nullptr) *bytes_written += meta.value().encoded_bytes;
-    next_lpn_ += meta.value().page_count;
-    Table table;
-    table.meta = meta.value();
-    table.cache =
-        std::make_shared<const std::vector<SSTableEntry>>(std::move(out));
-    auto pos = std::lower_bound(target.begin(), target.end(), table.meta.min_key,
-                                [](const Table& t, const std::string& k) {
-                                  return t.meta.min_key < k;
-                                });
-    target.insert(pos, std::move(table));
+Result<std::vector<std::size_t>> LsmTree::LoadOverlapping(
+    int level, const std::string& lo, const std::string& hi) {
+  auto& tables = levels_[static_cast<std::size_t>(level)];
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    if (!tables[i].meta.Overlaps(lo, hi)) continue;
+    BANDSLIM_RETURN_IF_ERROR(Load(tables[i]));
+    indices.push_back(i);
   }
+  return indices;
+}
+
+void LsmTree::TakeTables(int level, const std::vector<std::size_t>& indices,
+                         std::vector<Table>* inputs) {
+  auto& tables = levels_[static_cast<std::size_t>(level)];
+  for (const std::size_t i : indices) inputs->push_back(std::move(tables[i]));
+  for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
+    tables.erase(tables.begin() + static_cast<std::ptrdiff_t>(*it));
+  }
+}
+
+Status LsmTree::MergeInto(std::vector<Table> inputs, std::size_t own_runs,
+                          int level, int target_level) {
+  // The inputs leave the live set before any output is written; `inputs`
+  // keeps their entries for the merge.
+  std::vector<MergeRun> runs;
+  MergeRun chained;
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    DropTable(inputs[i]);
+    const std::vector<PackedEntry>& entries = inputs[i].resident;
+    expected += entries.size();
+    if (i < own_runs) {
+      runs.push_back({entries});
+    } else {
+      chained.emplace_back(entries);
+    }
+  }
+  if (!chained.empty()) runs.push_back(std::move(chained));
+  MergeCursor cursor(std::move(runs), TargetIsBottomMost(target_level));
+
+  auto& target = levels_[static_cast<std::size_t>(target_level)];
+  std::uint64_t bytes_written = 0;
+  TableBuilder builder(
+      ftl_, config_.sstable_target_bytes, expected, &next_table_id_,
+      &next_lpn_, [&](SSTableMeta meta, std::vector<PackedEntry> entries) {
+        bytes_written += meta.encoded_bytes;
+        auto pos = std::lower_bound(target.begin(), target.end(), meta.min_key,
+                                    [](const Table& t, const std::string& k) {
+                                      return t.meta.min_key < k;
+                                    });
+        target.insert(pos, Table{std::move(meta), std::move(entries)});
+      });
+  for (; cursor.Valid(); cursor.Next()) {
+    BANDSLIM_RETURN_IF_ERROR(builder.Add(cursor.entry()));
+  }
+  if (builder.open()) BANDSLIM_RETURN_IF_ERROR(builder.Finish());
+
+  ++compactions_run_;
+  compaction_counter_->Increment();
+  compaction_bytes_written_ += bytes_written;
+  compaction_bytes_counter_->Add(bytes_written);
+  if (event_log_ != nullptr) {
+    event_log_->Emit(telemetry::EventType::kCompactionEnd,
+                     static_cast<std::uint64_t>(level), bytes_written);
+  }
+  compaction_in_progress_ = false;
   return Status::Ok();
 }
 
@@ -314,50 +368,22 @@ Status LsmTree::CompactL0() {
     lo = std::min(lo, t.meta.min_key);
     hi = std::max(hi, t.meta.max_key);
   }
-
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  std::vector<std::shared_ptr<const std::vector<SSTableEntry>>> keepalive;
-  // Newest L0 run first.
+  // Every input is read before the first output page is programmed: the
+  // L0 runs newest first, then the overlapping L1 tables in key order.
   for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    auto run = Load(*it);
-    if (!run.ok()) return run.status();
-    keepalive.push_back(run.value());
-    runs.push_back(keepalive.back().get());
+    BANDSLIM_RETURN_IF_ERROR(Load(*it));
   }
-  // Overlapping L1 tables form one older, disjoint run.
-  auto& l1 = levels_[1];
-  std::vector<SSTableEntry> l1_run;
-  std::vector<std::size_t> l1_consumed;
-  for (std::size_t i = 0; i < l1.size(); ++i) {
-    if (!l1[i].meta.Overlaps(lo, hi)) continue;
-    auto run = Load(l1[i]);
-    if (!run.ok()) return run.status();
-    l1_run.insert(l1_run.end(), run.value()->begin(), run.value()->end());
-    l1_consumed.push_back(i);
+  auto overlapping = LoadOverlapping(1, lo, hi);
+  if (!overlapping.ok()) return overlapping.status();
+
+  std::vector<Table> inputs;
+  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
+    inputs.push_back(std::move(*it));
   }
-  if (!l1_run.empty()) runs.push_back(&l1_run);
-
-  std::vector<SSTableEntry> merged = MergeRuns(runs, TargetIsBottomMost(1));
-
-  for (const Table& t : l0) BANDSLIM_RETURN_IF_ERROR(DropTable(t));
   l0.clear();
-  for (auto it = l1_consumed.rbegin(); it != l1_consumed.rend(); ++it) {
-    BANDSLIM_RETURN_IF_ERROR(DropTable(l1[*it]));
-    l1.erase(l1.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
-  std::uint64_t bytes_written = 0;
-  if (!merged.empty()) {
-    BANDSLIM_RETURN_IF_ERROR(WriteMerged(std::move(merged), 1, &bytes_written));
-  }
-  ++compactions_run_;
-  compaction_counter_->Increment();
-  compaction_bytes_written_ += bytes_written;
-  compaction_bytes_counter_->Add(bytes_written);
-  if (event_log_ != nullptr) {
-    event_log_->Emit(telemetry::EventType::kCompactionEnd, 0, bytes_written);
-  }
-  compaction_in_progress_ = false;
-  return Status::Ok();
+  const std::size_t l0_runs = inputs.size();
+  TakeTables(1, overlapping.value(), &inputs);
+  return MergeInto(std::move(inputs), l0_runs, 0, 1);
 }
 
 Status LsmTree::CompactLevel(int level) {
@@ -370,49 +396,16 @@ Status LsmTree::CompactLevel(int level) {
   }
   // Victim: first table (simple deterministic rotation — tables re-enter
   // sorted by key, so repeated picks sweep the key space).
-  Table victim = std::move(src.front());
+  std::vector<Table> inputs;
+  inputs.push_back(std::move(src.front()));
   src.erase(src.begin());
-
-  auto victim_run = Load(victim);
-  if (!victim_run.ok()) return victim_run.status();
-
-  auto& next = levels_[static_cast<std::size_t>(level) + 1];
-  std::vector<SSTableEntry> next_run;
-  std::vector<std::size_t> consumed;
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    if (!next[i].meta.Overlaps(victim.meta.min_key, victim.meta.max_key)) continue;
-    auto run = Load(next[i]);
-    if (!run.ok()) return run.status();
-    next_run.insert(next_run.end(), run.value()->begin(), run.value()->end());
-    consumed.push_back(i);
-  }
-
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  runs.push_back(victim_run.value().get());
-  if (!next_run.empty()) runs.push_back(&next_run);
-  std::vector<SSTableEntry> merged =
-      MergeRuns(runs, TargetIsBottomMost(level + 1));
-
-  BANDSLIM_RETURN_IF_ERROR(DropTable(victim));
-  for (auto it = consumed.rbegin(); it != consumed.rend(); ++it) {
-    BANDSLIM_RETURN_IF_ERROR(DropTable(next[*it]));
-    next.erase(next.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
-  std::uint64_t bytes_written = 0;
-  if (!merged.empty()) {
-    BANDSLIM_RETURN_IF_ERROR(
-        WriteMerged(std::move(merged), level + 1, &bytes_written));
-  }
-  ++compactions_run_;
-  compaction_counter_->Increment();
-  compaction_bytes_written_ += bytes_written;
-  compaction_bytes_counter_->Add(bytes_written);
-  if (event_log_ != nullptr) {
-    event_log_->Emit(telemetry::EventType::kCompactionEnd,
-                     static_cast<std::uint64_t>(level), bytes_written);
-  }
-  compaction_in_progress_ = false;
-  return Status::Ok();
+  const SSTableMeta& victim = inputs.front().meta;
+  BANDSLIM_RETURN_IF_ERROR(Load(inputs.front()));
+  auto overlapping =
+      LoadOverlapping(level + 1, victim.min_key, victim.max_key);
+  if (!overlapping.ok()) return overlapping.status();
+  TakeTables(level + 1, overlapping.value(), &inputs);
+  return MergeInto(std::move(inputs), 1, level, level + 1);
 }
 
 Status LsmTree::MaybeCompact() {
@@ -523,51 +516,51 @@ Result<std::uint64_t> LsmTree::Restore() {
 }
 
 Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
-  // Materialize a merged snapshot: MemTable (newest), then L0 newest-first,
-  // then each deeper level as one disjoint run.
-  std::vector<SSTableEntry> mem_run;
+  // A merged snapshot: MemTable (newest), then L0 newest-first, then each
+  // deeper level as one chained run.
+  std::vector<PackedEntry> mem_run;
   mem_run.reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    mem_run.push_back({std::string(it.key()), it.ref()});
+    mem_run.push_back(it.entry());
   }
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  std::vector<std::shared_ptr<const std::vector<SSTableEntry>>> keepalive;
-  std::vector<std::vector<SSTableEntry>> level_runs;
-  runs.push_back(&mem_run);
+  std::vector<MergeRun> runs;
+  std::size_t expected = mem_run.size();
+  runs.push_back({mem_run});
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    auto run = Load(*it);
-    if (!run.ok()) return run.status();
-    keepalive.push_back(run.value());
-    runs.push_back(keepalive.back().get());
+    BANDSLIM_RETURN_IF_ERROR(Load(*it));
+    runs.push_back({it->resident});
+    expected += it->resident.size();
   }
-  level_runs.reserve(levels_.size());
   for (std::size_t level = 1; level < levels_.size(); ++level) {
-    std::vector<SSTableEntry> concat;
+    MergeRun chained;
     for (Table& t : levels_[level]) {
-      auto run = Load(t);
-      if (!run.ok()) return run.status();
-      concat.insert(concat.end(), run.value()->begin(), run.value()->end());
+      BANDSLIM_RETURN_IF_ERROR(Load(t));
+      chained.emplace_back(t.resident);
+      expected += t.resident.size();
     }
-    if (!concat.empty()) level_runs.push_back(std::move(concat));
+    if (!chained.empty()) runs.push_back(std::move(chained));
   }
-  for (const auto& r : level_runs) runs.push_back(&r);
 
   auto iter = std::unique_ptr<Iterator>(new Iterator());
-  iter->entries_ = MergeRuns(runs, /*drop_tombstones=*/true);
+  iter->entries_.reserve(expected);
+  for (MergeCursor cursor(std::move(runs), /*drop_tombstones=*/true);
+       cursor.Valid(); cursor.Next()) {
+    iter->entries_.push_back(cursor.entry());
+  }
   return iter;
 }
 
-void LsmTree::Iterator::Seek(const std::string& target) {
+void LsmTree::Iterator::Seek(std::string_view target) {
+  const KeyOrder order = OrderOf(target);
   pos_ = static_cast<std::size_t>(
-      std::lower_bound(entries_.begin(), entries_.end(), target,
-                       [](const SSTableEntry& e, const std::string& k) {
-                         return e.key < k;
-                       }) -
+      std::partition_point(
+          entries_.begin(), entries_.end(),
+          [&](const PackedEntry& e) { return e.order() < order; }) -
       entries_.begin());
 }
 
 Status LsmTree::ForEachLive(
-    const std::function<void(const std::string&, const ValueRef&)>& fn) {
+    const std::function<void(std::string_view, const ValueRef&)>& fn) {
   auto iter = NewIterator();
   if (!iter.ok()) return iter.status();
   for (auto& it = *iter.value(); it.Valid(); it.Next()) {

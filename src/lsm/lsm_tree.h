@@ -5,12 +5,27 @@
 // shows up in the write-amplification figures (Section 2.4).
 //
 // The MemTable (memtable.h) is a hash index over packed entries: Put and Get
-// cost one hash and a probe or two, and key order is built by a sort only
-// when a flush or NewIterator walks it. Its approximate_bytes() models a
-// skiplist node per key, with tower heights drawn from the seeded stream
+// cost one hash and a probe or two, and key order is built by a radix sort
+// only when a flush or NewIterator walks it. Its approximate_bytes() models
+// a skiplist node per key, with tower heights drawn from the seeded stream
 // once per new key, and sets when a flush happens; a ValueRef pointer from
 // MemTable::Get lives only until the next MemTable write, so Get copies it
 // out at once.
+//
+// Flush and compaction stream: a flush feeds the MemTable's order into one
+// TableBuilder (sstable.h), and a compaction feeds it a MergeCursor
+// (compaction.h) over its input runs read in place — one run per L0 table,
+// one chained run for the overlapping tables of the level below. Every
+// input is loaded (its NAND reads charged) before the first output page is
+// programmed, the inputs leave the level set before any output is written,
+// and each output table enters its level as it finishes.
+//
+// Residency: a table's entries stay in device DRAM as a flat PackedEntry
+// array from the moment it is written, or once a compaction or a scan
+// loads it; lookups in a resident table binary-search that array and read
+// no NAND. Tables restored from the manifest are not resident: a point
+// lookup reads the one page its fence keys name, through a FIFO cache of
+// decoded pages (PackedEntry arrays too).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -74,21 +90,22 @@ class LsmTree {
   class Iterator {
    public:
     bool Valid() const { return pos_ < entries_.size(); }
-    const std::string& key() const { return entries_[pos_].key; }
+    std::string_view key() const { return entries_[pos_].key(); }
     const ValueRef& ref() const { return entries_[pos_].ref; }
     void Next() { ++pos_; }
-    void Seek(const std::string& target);
+    void Seek(std::string_view target);
 
    private:
     friend class LsmTree;
-    std::vector<SSTableEntry> entries_;
+    std::vector<PackedEntry> entries_;
     std::size_t pos_ = 0;
   };
+  // Loads every table (each becomes resident) and snapshots the merge.
   Result<std::unique_ptr<Iterator>> NewIterator();
 
   // Visits every live entry (vLog GC liveness scan).
   Status ForEachLive(
-      const std::function<void(const std::string&, const ValueRef&)>& fn);
+      const std::function<void(std::string_view, const ValueRef&)>& fn);
 
   // --- introspection ---------------------------------------------------
   std::size_t memtable_entries() const { return mem_.entry_count(); }
@@ -137,18 +154,23 @@ class LsmTree {
  private:
   struct Table {
     SSTableMeta meta;
-    // Whole-table cache: present for freshly written tables (still in
-    // DRAM) and for compaction inputs; point lookups otherwise go through
-    // the page cache.
-    std::shared_ptr<const std::vector<SSTableEntry>> cache;
+    // The table's entries while resident (see above); empty otherwise.
+    std::vector<PackedEntry> resident;
+  };
+  // Pages of a dropped table, trimmed at the next checkpoint.
+  struct PageExtent {
+    std::uint64_t first_lpn;
+    std::uint32_t page_count;
   };
 
-  Result<std::shared_ptr<const std::vector<SSTableEntry>>> Load(Table& table);
+  // Makes `table` resident, reading every page it has unless it already is.
+  Status Load(Table& table);
   // Point lookup within one table: bloom -> fence keys -> one page read
   // (served from the page cache when possible). nullptr = not in table.
   Result<const ValueRef*> FindInTable(Table& table, const std::string& key,
+                                      const KeyOrder& order,
                                       ValueRef* storage);
-  Result<std::shared_ptr<const std::vector<SSTableEntry>>> LoadPage(
+  Result<std::shared_ptr<const std::vector<PackedEntry>>> LoadPage(
       const SSTableMeta& meta, std::uint32_t page_index);
   void InvalidatePages(const SSTableMeta& meta);
   // Physically trims pages of dropped tables. Deferred until the next
@@ -158,14 +180,25 @@ class LsmTree {
   Status MaybeCompact();
   Status CompactL0();
   Status CompactLevel(int level);
-  // Merges `runs` (newest first) into `target_level`, replacing the tables
-  // listed in `consumed` (level, index pairs sorted for removal).
-  // `bytes_written` (optional) accumulates the encoded bytes of every
-  // SSTable produced.
-  Status WriteMerged(std::vector<SSTableEntry> merged, int target_level,
-                     std::uint64_t* bytes_written = nullptr);
+  // Removes `table` from the live set: its cached pages go now, its NAND
+  // pages at the next checkpoint.
+  void DropTable(const Table& table);
+  // Loads the tables of `level` overlapping [lo, hi]; returns their
+  // indices, ascending.
+  Result<std::vector<std::size_t>> LoadOverlapping(int level,
+                                                   const std::string& lo,
+                                                   const std::string& hi);
+  // Moves tables `indices` (ascending) of `level` to the end of `inputs`.
+  void TakeTables(int level, const std::vector<std::size_t>& indices,
+                  std::vector<Table>* inputs);
+  // One compaction out of `level`: drops `inputs` (loaded, already out of
+  // their levels) and streams their merge into tables of at most
+  // sstable_target_bytes, each entering `target_level` as it finishes.
+  // inputs[0, own_runs) are runs of their own, newest first; the rest are
+  // one older run, chained in key order.
+  Status MergeInto(std::vector<Table> inputs, std::size_t own_runs,
+                   int level, int target_level);
   bool TargetIsBottomMost(int target_level) const;
-  Status DropTable(const Table& table);
   std::uint64_t TargetBytes(int level) const;
 
   ftl::PageFtl* ftl_;
@@ -173,10 +206,10 @@ class LsmTree {
   MemTable mem_;
   std::vector<std::vector<Table>> levels_;  // levels_[0]: oldest..newest runs.
   // Tables removed from the live set whose pages await the next checkpoint.
-  std::vector<SSTableMeta> pending_drops_;
+  std::vector<PageExtent> pending_drops_;
   // Decoded-page cache (FIFO eviction), keyed by logical page number.
   std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const std::vector<SSTableEntry>>>
+                     std::shared_ptr<const std::vector<PackedEntry>>>
       page_cache_;
   std::deque<std::uint64_t> page_cache_fifo_;
   std::uint64_t next_table_id_ = 1;

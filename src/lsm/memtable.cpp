@@ -1,11 +1,9 @@
 #include "lsm/memtable.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstring>
 #include <string>
-#include <tuple>
+#include <utility>
 
 namespace bandslim::lsm {
 namespace {
@@ -13,53 +11,6 @@ namespace {
 constexpr std::size_t kInitialSlots = 16;
 // Tower cap of the modelled skiplist node (see RandomHeight).
 constexpr int kModelMaxHeight = 12;
-
-std::uint64_t Load64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::uint64_t Load32(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-// The key zero-padded to kMaxKeySize bytes, as two words in memory order.
-// On little-endian hosts the words are assembled from whole-word loads
-// inside the key (overlapping where the key is not a multiple of the
-// load): a byte-wise copy into a zeroed buffer followed by word loads
-// stalls store-to-load forwarding and costs more than the probe itself.
-std::array<std::uint64_t, 2> PaddedWords(std::string_view key) {
-  const char* p = key.data();
-  const std::size_t n = key.size();
-  std::array<std::uint64_t, 2> words{};
-  if constexpr (std::endian::native != std::endian::little) {
-    if (n != 0) std::memcpy(words.data(), p, n);
-  } else if (n >= 8) {
-    words[0] = Load64(p);
-    if (n > 8) words[1] = Load64(p + n - 8) >> (8 * (16 - n));
-  } else if (n >= 4) {
-    words[0] = Load32(p) | Load32(p + n - 4) << (8 * (n - 4));
-  } else if (n != 0) {
-    const auto byte = [p](std::size_t i) {
-      return std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
-    };
-    words[0] = byte(0) | byte(n / 2) | byte(n - 1);
-  }
-  return words;
-}
-
-// Word `i` of a padded key as a big-endian integer: comparing (word 0,
-// word 1, length) in that order is memcmp order on the unpadded keys.
-std::uint64_t OrderWord(const std::array<std::uint64_t, 2>& words,
-                        std::size_t i) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return __builtin_bswap64(words[i]);
-  }
-  return words[i];
-}
 
 // splitmix64's finalizer: a fixed bijective mix, so runs place keys alike.
 std::uint64_t Mix(std::uint64_t x) {
@@ -92,7 +43,7 @@ std::size_t MemTable::FindSlot(const std::array<std::uint64_t, 2>& words,
   const std::size_t mask = slots_.size() - 1;
   std::size_t slot = Hash(words, len) & mask;
   while (slots_[slot] != kEmptySlot) {
-    const Entry& e = entries_[slots_[slot]];
+    const PackedEntry& e = entries_[slots_[slot]];
     if (e.words == words && e.len == len) break;
     slot = (slot + 1) & mask;
   }
@@ -141,19 +92,61 @@ void MemTable::Clear() {
   approx_bytes_ = 0;
 }
 
-MemTable::Iterator MemTable::Begin() {
-  if (order_.size() != entries_.size()) {
-    order_.resize(entries_.size());
-    for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      order_[i] = {OrderWord(e.words, 0), OrderWord(e.words, 1), e.len, i};
-    }
-    std::sort(order_.begin(), order_.end(),
-              [](const OrderKey& a, const OrderKey& b) {
-                return std::tie(a.hi, a.lo, a.len) <
-                       std::tie(b.hi, b.lo, b.len);
-              });
+void MemTable::SortOrder() {
+  const std::size_t n = entries_.size();
+  order_.resize(n);
+  // Which bits differ from the first key anywhere: a byte column that is
+  // zero here holds one value in every record and needs no pass.
+  std::uint64_t hi_diff = 0;
+  std::uint64_t lo_diff = 0;
+  std::uint32_t len_diff = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const KeyOrder o = entries_[i].order();
+    order_[i] = {o.hi, o.lo, o.len, i};
+    hi_diff |= o.hi ^ order_[0].hi;
+    lo_diff |= o.lo ^ order_[0].lo;
+    len_diff |= o.len ^ order_[0].len;
   }
+  // The varying byte columns, least significant first: length, then lo's
+  // bytes, then hi's.
+  struct Column {
+    int word;  // 0: len, 1: lo, 2: hi.
+    int shift;
+  };
+  std::array<Column, 1 + 2 * 8> columns;
+  std::size_t num_columns = 0;
+  if (len_diff != 0) columns[num_columns++] = {0, 0};  // len <= 16.
+  for (const auto& [word, diff] : {std::pair{1, lo_diff}, std::pair{2, hi_diff}}) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      if ((diff >> shift & 0xff) != 0) columns[num_columns++] = {word, shift};
+    }
+  }
+  const auto digit = [](const OrderKey& k, const Column& c) -> std::size_t {
+    const std::uint64_t w = c.word == 2 ? k.hi : c.word == 1 ? k.lo : k.len;
+    return w >> c.shift & 0xff;
+  };
+  std::array<std::array<std::uint32_t, 256>, 1 + 2 * 8> counts;
+  for (std::size_t c = 0; c < num_columns; ++c) counts[c].fill(0);
+  for (const OrderKey& k : order_) {
+    for (std::size_t c = 0; c < num_columns; ++c) ++counts[c][digit(k, columns[c])];
+  }
+  sort_scratch_.resize(n);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    std::uint32_t start = 0;
+    for (std::uint32_t& count : counts[c]) {
+      const std::uint32_t bucket = count;
+      count = start;
+      start += bucket;
+    }
+    for (const OrderKey& k : order_) {
+      sort_scratch_[counts[c][digit(k, columns[c])]++] = k;
+    }
+    order_.swap(sort_scratch_);
+  }
+}
+
+MemTable::Iterator MemTable::Begin() {
+  if (order_.size() != entries_.size()) SortOrder();
   return Iterator(entries_.data(), order_.data(),
                   order_.data() + order_.size());
 }

@@ -3,14 +3,16 @@
 // — values themselves live in the vLog; this is the key-value separation the
 // paper builds on (Section 2.1).
 //
-// Layout: a packed entry array plus an open-addressing hash index. Each key
-// (at most kMaxKeySize = 16 bytes) is stored zero-padded as two 64-bit words
-// next to its ValueRef; a power-of-two table of u32 entry numbers (load
-// factor <= 1/2, linear probing, a fixed hash) finds it with one hash and
-// one or two probes. Key order is built only when iterated: Begin() sorts
-// one record per entry by the padded key read as two big-endian words, then
-// by length — exactly std::string (memcmp) order — and reuses that order
-// until the next new key.
+// Layout: an array of PackedEntry (packed_entry.h: the key zero-padded to
+// two 64-bit words plus its length, next to its ValueRef) behind an
+// open-addressing hash index: a power-of-two table of u32 entry numbers
+// (load factor <= 1/2, linear probing, a fixed hash) finds a key with one
+// hash and one or two probes. Key order is built only when iterated:
+// Begin() LSD-radix-sorts one (hi, lo, len, entry) record per entry on the
+// big-endian key words and the length — std::string (memcmp) order — one
+// byte column per pass, skipping the columns in which no two keys differ
+// (4-byte keys take about 4 passes), and reuses that order until the next
+// new key. A flush feeds that order straight into a TableBuilder.
 //
 // Footprint model: approximate_bytes() models a skiplist node per key (key
 // bytes, ValueRef, node header and a tower of seeded geometric height), the
@@ -21,7 +23,7 @@
 // clock may not.
 //
 // Clear() keeps every capacity, so once the table has grown to its working
-// size, inserts allocate nothing.
+// size, inserts and sorts allocate nothing.
 #pragma once
 
 #include <array>
@@ -31,30 +33,14 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "vlog/address.h"
+#include "lsm/packed_entry.h"
 
 namespace bandslim::lsm {
 
-struct ValueRef {
-  vlog::VlogAddr addr = 0;
-  std::uint32_t size = 0;
-  bool tombstone = false;
-};
-
 class MemTable {
  private:
-  struct Entry {
-    // The key's bytes, zero-padded to kMaxKeySize, in memory order.
-    std::array<std::uint64_t, 2> words;
-    ValueRef ref;
-    std::uint8_t len;
-    std::string_view key() const {
-      return {reinterpret_cast<const char*>(words.data()), len};
-    }
-  };
-  static_assert(sizeof(Entry::words) == kMaxKeySize);
   // One entry's place in key order: its padded key as big-endian words, so
-  // the sort compares contiguous integers rather than chasing entries.
+  // the sort moves contiguous integers rather than chasing entries.
   struct OrderKey {
     std::uint64_t hi;
     std::uint64_t lo;
@@ -85,15 +71,17 @@ class MemTable {
   class Iterator {
    public:
     bool Valid() const { return pos_ != end_; }
-    std::string_view key() const { return entries_[pos_->entry].key(); }
-    const ValueRef& ref() const { return entries_[pos_->entry].ref; }
+    const PackedEntry& entry() const { return entries_[pos_->entry]; }
+    std::string_view key() const { return entry().key(); }
+    const ValueRef& ref() const { return entry().ref; }
     void Next() { ++pos_; }
 
    private:
     friend class MemTable;
-    Iterator(const Entry* entries, const OrderKey* pos, const OrderKey* end)
+    Iterator(const PackedEntry* entries, const OrderKey* pos,
+             const OrderKey* end)
         : entries_(entries), pos_(pos), end_(end) {}
-    const Entry* entries_;
+    const PackedEntry* entries_;
     const OrderKey* pos_;
     const OrderKey* end_;
   };
@@ -109,12 +97,15 @@ class MemTable {
   std::size_t FindSlot(const std::array<std::uint64_t, 2>& words,
                        std::size_t len) const;
   void Grow();
+  // Rebuilds order_ over every entry (the radix sort above).
+  void SortOrder();
 
-  std::vector<Entry> entries_;
+  std::vector<PackedEntry> entries_;
   std::vector<std::uint32_t> slots_;  // Entry numbers; kEmptySlot if free.
   // Entries in key order; stale when shorter than entries_ (entries are
   // only appended between Clears).
   std::vector<OrderKey> order_;
+  std::vector<OrderKey> sort_scratch_;  // The radix sort's other buffer.
   std::size_t approx_bytes_ = 0;
   Xoshiro256 rng_;
 };

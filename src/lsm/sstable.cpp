@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace bandslim::lsm {
 
@@ -48,23 +49,6 @@ Status GetLengthPrefixed(ByteSpan data, std::size_t* offset, std::string* s) {
   return Status::Ok();
 }
 
-void EncodeEntry(Bytes* out, const SSTableEntry& entry) {
-  PutLengthPrefixed(out, entry.key);
-  PutU64(out, entry.ref.addr);
-  PutU32(out, entry.ref.size);
-  out->push_back(entry.ref.tombstone ? 1 : 0);
-}
-
-Status DecodeEntry(ByteSpan data, std::size_t* offset, SSTableEntry* out) {
-  BANDSLIM_RETURN_IF_ERROR(GetLengthPrefixed(data, offset, &out->key));
-  BANDSLIM_RETURN_IF_ERROR(GetU64(data, offset, &out->ref.addr));
-  BANDSLIM_RETURN_IF_ERROR(GetU32(data, offset, &out->ref.size));
-  if (*offset >= data.size()) return Status::Corruption("truncated flags");
-  out->ref.tombstone = data[*offset] != 0;
-  ++*offset;
-  return Status::Ok();
-}
-
 int SSTableMeta::PageForKey(const std::string& key) const {
   // Last fence key <= key.
   auto it = std::upper_bound(fence_keys.begin(), fence_keys.end(), key);
@@ -72,88 +56,160 @@ int SSTableMeta::PageForKey(const std::string& key) const {
   return static_cast<int>(it - fence_keys.begin()) - 1;
 }
 
-Result<SSTableMeta> WriteSSTable(ftl::PageFtl* ftl, std::uint64_t id,
-                                 std::uint64_t first_lpn,
-                                 const std::vector<SSTableEntry>& entries) {
-  if (entries.empty()) {
-    return Status::InvalidArgument("empty SSTable");
-  }
-  SSTableMeta meta;
-  meta.id = id;
-  meta.first_lpn = first_lpn;
-  meta.entry_count = static_cast<std::uint32_t>(entries.size());
-  meta.min_key = entries.front().key;
-  meta.max_key = entries.back().key;
-  meta.bloom = BloomFilter(entries.size());
-
-  Bytes page;
-  std::size_t i = 0;
-  std::uint32_t page_index = 0;
-  while (i < entries.size()) {
-    page.clear();
-    PutU32(&page, kSSTableMagic);
-    PutU32(&page, 0);  // Entry count, patched below (u32 keeps codec shared).
-    std::uint32_t in_page = 0;
-    meta.fence_keys.push_back(entries[i].key);
-    while (i < entries.size() &&
-           page.size() + EncodedEntrySize(entries[i]) <= kNandPageSize) {
-      EncodeEntry(&page, entries[i]);
-      meta.bloom.Add(entries[i].key);
-      meta.encoded_bytes += EncodedEntrySize(entries[i]);
-      ++in_page;
-      ++i;
-    }
-    for (int b = 0; b < 4; ++b) {
-      page[4 + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(in_page >> (8 * b));
-    }
-    // SSTable pages are always retained: compaction must read them back.
-    BANDSLIM_RETURN_IF_ERROR(ftl->Write(first_lpn + page_index, ByteSpan(page),
-                                        ftl::Stream::kLsm, /*retain=*/true));
-    ++page_index;
-  }
-  meta.page_count = page_index;
-  return meta;
-}
-
 namespace {
 
-Result<std::vector<SSTableEntry>> DecodePage(ByteSpan page) {
-  std::size_t offset = 0;
-  std::uint32_t magic = 0;
-  BANDSLIM_RETURN_IF_ERROR(GetU32(page, &offset, &magic));
-  if (magic != kSSTableMagic) return Status::Corruption("bad SSTable magic");
-  std::uint32_t count = 0;
-  BANDSLIM_RETURN_IF_ERROR(GetU32(page, &offset, &count));
-  std::vector<SSTableEntry> entries(count);
-  for (std::uint32_t e = 0; e < count; ++e) {
-    BANDSLIM_RETURN_IF_ERROR(DecodeEntry(page, &offset, &entries[e]));
+constexpr std::size_t kPageHeaderBytes = 8;  // Magic, entry count.
+constexpr std::size_t kEntryFieldBytes = 8 + 4 + 1;  // Addr, size, flags.
+// The smallest entry: a one-byte key.
+constexpr std::uint64_t kMinEntryBytes = 1 + 1 + kEntryFieldBytes;
+
+template <typename T>
+void StoreLe(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  return entries;
+}
+
+template <typename T>
+T LoadLe(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
+  return v;
+}
+
+// Appends the entries of one page to `out`. A page programmed without its
+// payload retained reads as zeros, hence as a bad magic.
+Status DecodePage(const Bytes* page, std::vector<PackedEntry>* out) {
+  if (page == nullptr || page->size() < kPageHeaderBytes ||
+      LoadLe<std::uint32_t>(page->data()) != kSSTableMagic) {
+    return Status::Corruption("bad SSTable magic");
+  }
+  const std::uint8_t* p = page->data();
+  const std::size_t size = page->size();
+  const std::uint32_t count = LoadLe<std::uint32_t>(p + 4);
+  out->reserve(out->size() +
+               std::min<std::size_t>(count, size / kMinEntryBytes));
+  std::size_t offset = kPageHeaderBytes;
+  for (std::uint32_t e = 0; e < count; ++e) {
+    if (offset >= size) return Status::Corruption("truncated length byte");
+    const std::size_t len = p[offset];
+    if (len > kMaxKeySize) return Status::Corruption("SSTable key too long");
+    if (offset + 1 + len + kEntryFieldBytes > size) {
+      return Status::Corruption("truncated SSTable entry");
+    }
+    const std::uint8_t* fields = p + offset + 1 + len;
+    out->push_back(PackedEntry::Make(
+        {reinterpret_cast<const char*>(p + offset + 1), len},
+        ValueRef{LoadLe<std::uint64_t>(fields),
+                 LoadLe<std::uint32_t>(fields + 8), fields[12] != 0}));
+    offset += 1 + len + kEntryFieldBytes;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
-Result<std::vector<SSTableEntry>> ReadSSTablePage(ftl::PageFtl* ftl,
-                                                  const SSTableMeta& meta,
-                                                  std::uint32_t page_index) {
+TableBuilder::TableBuilder(ftl::PageFtl* ftl, std::uint64_t target_bytes,
+                           std::size_t expected_entries,
+                           std::uint64_t* next_id, std::uint64_t* next_lpn,
+                           TableSink on_table)
+    : ftl_(ftl),
+      target_bytes_(target_bytes),
+      expected_(expected_entries),
+      next_id_(next_id),
+      next_lpn_(next_lpn),
+      on_table_(std::move(on_table)),
+      page_(kNandPageSize) {}
+
+void TableBuilder::Open(const PackedEntry& first) {
+  meta_.id = (*next_id_)++;
+  meta_.first_lpn = *next_lpn_;
+  meta_.min_key.assign(first.key());
+  entries_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(expected_, target_bytes_ / kMinEntryBytes + 1)));
+}
+
+Status TableBuilder::Add(const PackedEntry& e) {
+  const std::uint64_t size = EncodedEntrySize(e);
+  if (open() && meta_.encoded_bytes + size > target_bytes_) {
+    BANDSLIM_RETURN_IF_ERROR(Finish());
+  }
+  if (!open()) Open(e);
+  if (page_entries_ != 0 && page_used_ + size > kNandPageSize) {
+    BANDSLIM_RETURN_IF_ERROR(ProgramPage());
+  }
+  if (page_entries_ == 0) {
+    StoreLe(page_.data(), kSSTableMagic);
+    page_used_ = kPageHeaderBytes;
+    meta_.fence_keys.emplace_back(e.key());
+  }
+  std::uint8_t* p = page_.data() + page_used_;
+  p[0] = e.len;
+  std::memcpy(p + 1, e.words.data(), e.len);
+  p += 1 + e.len;
+  StoreLe(p, e.ref.addr);
+  StoreLe(p + 8, e.ref.size);
+  p[12] = e.ref.tombstone ? 1 : 0;
+  page_used_ += size;
+  ++page_entries_;
+  meta_.encoded_bytes += size;
+  key_hashes_.push_back(BloomFilter::Hash(e.key()));
+  entries_.push_back(e);
+  if (expected_ != 0) --expected_;
+  return Status::Ok();
+}
+
+Status TableBuilder::ProgramPage() {
+  StoreLe(page_.data() + 4, page_entries_);
+  // SSTable pages are always retained: compaction must read them back.
+  BANDSLIM_RETURN_IF_ERROR(
+      ftl_->Write(meta_.first_lpn + meta_.page_count,
+                  ByteSpan(page_.data(), page_used_), ftl::Stream::kLsm,
+                  /*retain=*/true));
+  ++meta_.page_count;
+  page_used_ = 0;
+  page_entries_ = 0;
+  return Status::Ok();
+}
+
+Status TableBuilder::Finish() {
+  if (!open()) return Status::InvalidArgument("empty SSTable");
+  BANDSLIM_RETURN_IF_ERROR(ProgramPage());
+  meta_.entry_count = static_cast<std::uint32_t>(entries_.size());
+  meta_.max_key.assign(entries_.back().key());
+  meta_.bloom = BloomFilter(entries_.size());
+  for (const std::uint64_t h : key_hashes_) meta_.bloom.AddHash(h);
+  key_hashes_.clear();
+  *next_lpn_ += meta_.page_count;
+  SSTableMeta meta = std::move(meta_);
+  meta_ = SSTableMeta{};
+  std::vector<PackedEntry> entries = std::move(entries_);
+  entries_.clear();
+  on_table_(std::move(meta), std::move(entries));
+  return Status::Ok();
+}
+
+Result<std::vector<PackedEntry>> ReadSSTablePage(ftl::PageFtl* ftl,
+                                                 const SSTableMeta& meta,
+                                                 std::uint32_t page_index) {
   if (page_index >= meta.page_count) {
     return Status::InvalidArgument("page index out of range");
   }
-  Bytes page(kNandPageSize);
-  BANDSLIM_RETURN_IF_ERROR(
-      ftl->Read(meta.first_lpn + page_index, MutByteSpan(page)));
-  return DecodePage(ByteSpan(page));
+  std::shared_ptr<const Bytes> page;
+  BANDSLIM_RETURN_IF_ERROR(ftl->ReadView(meta.first_lpn + page_index, &page));
+  std::vector<PackedEntry> entries;
+  BANDSLIM_RETURN_IF_ERROR(DecodePage(page.get(), &entries));
+  return entries;
 }
 
-Result<std::vector<SSTableEntry>> ReadSSTable(ftl::PageFtl* ftl,
-                                              const SSTableMeta& meta) {
-  std::vector<SSTableEntry> entries;
+Result<std::vector<PackedEntry>> ReadSSTable(ftl::PageFtl* ftl,
+                                             const SSTableMeta& meta) {
+  std::vector<PackedEntry> entries;
   entries.reserve(meta.entry_count);
   for (std::uint32_t p = 0; p < meta.page_count; ++p) {
-    auto page = ReadSSTablePage(ftl, meta, p);
-    if (!page.ok()) return page.status();
-    for (SSTableEntry& e : page.value()) entries.push_back(std::move(e));
+    std::shared_ptr<const Bytes> page;
+    BANDSLIM_RETURN_IF_ERROR(ftl->ReadView(meta.first_lpn + p, &page));
+    BANDSLIM_RETURN_IF_ERROR(DecodePage(page.get(), &entries));
   }
   if (entries.size() != meta.entry_count) {
     return Status::Corruption("entry count mismatch");

@@ -156,6 +156,21 @@ TEST(DriverTest, OversizeValueRejectedBeforeAnyCommand) {
   EXPECT_EQ(back.value(), max);
 }
 
+// A legal PUT larger than the page-buffer window (16 x 16 KiB here) is a
+// bad request for this device, not a full one: the controller reports the
+// buffer's InvalidArgument, and the device keeps serving.
+TEST(DriverTest, ValueBeyondBufferWindowIsInvalidNotOutOfSpace) {
+  auto ssd = OpenWith(TransferMethod::kAdaptive);
+  Bytes max(kMaxValueSize, 4);
+  const Status st = ssd->Put("max", ByteSpan(max));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  Bytes small = workload::MakeValue(100, 5, 1);
+  ASSERT_TRUE(ssd->Put("small", ByteSpan(small)).ok());
+  auto back = ssd->Get("small");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), small);
+}
+
 TEST(DriverTest, DeleteAndExists) {
   auto ssd = OpenWith(TransferMethod::kAdaptive);
   Bytes v(40, 2);

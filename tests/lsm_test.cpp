@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -190,21 +191,52 @@ class SSTableTest : public ::testing::Test {
   ftl::PageFtl ftl_;
 };
 
-std::vector<SSTableEntry> MakeEntries(int n, int salt = 0) {
-  std::vector<SSTableEntry> entries;
+std::vector<PackedEntry> MakeEntries(int n, int salt = 0) {
+  std::vector<PackedEntry> entries;
   for (int i = 0; i < n; ++i) {
     char key[12];
     std::snprintf(key, sizeof key, "k%06d", i);
-    entries.push_back({key,
-                       {static_cast<std::uint64_t>(i * 100 + salt),
-                        static_cast<std::uint32_t>(i % 1000 + 1), (i % 7) == 3}});
+    entries.push_back(PackedEntry::Make(
+        key, {static_cast<std::uint64_t>(i * 100 + salt),
+              static_cast<std::uint32_t>(i % 1000 + 1), (i % 7) == 3}));
   }
   return entries;
 }
 
+// Every table a builder writes from `entries`, split at `target_bytes`.
+struct BuiltTable {
+  SSTableMeta meta;
+  std::vector<PackedEntry> entries;
+};
+Result<std::vector<BuiltTable>> BuildTables(
+    ftl::PageFtl* ftl, std::uint64_t id, std::uint64_t first_lpn,
+    const std::vector<PackedEntry>& entries,
+    std::uint64_t target_bytes = TableBuilder::kNoSplit) {
+  std::vector<BuiltTable> tables;
+  TableBuilder builder(ftl, target_bytes, entries.size(), &id, &first_lpn,
+                       [&](SSTableMeta meta, std::vector<PackedEntry> out) {
+                         tables.push_back({std::move(meta), std::move(out)});
+                       });
+  for (const PackedEntry& e : entries) {
+    BANDSLIM_RETURN_IF_ERROR(builder.Add(e));
+  }
+  BANDSLIM_RETURN_IF_ERROR(builder.Finish());
+  return tables;
+}
+
+// One table, the way a flush writes it.
+Result<SSTableMeta> WriteTable(ftl::PageFtl* ftl, std::uint64_t id,
+                               std::uint64_t first_lpn,
+                               const std::vector<PackedEntry>& entries) {
+  auto tables = BuildTables(ftl, id, first_lpn, entries);
+  if (!tables.ok()) return tables.status();
+  EXPECT_EQ(tables.value().size(), 1u);
+  return tables.value().front().meta;
+}
+
 TEST_F(SSTableTest, WriteReadRoundTrip) {
   auto entries = MakeEntries(1000);
-  auto meta = WriteSSTable(&ftl_, 1, kLsmLpnBase, entries);
+  auto meta = WriteTable(&ftl_, 1, kLsmLpnBase, entries);
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   EXPECT_EQ(meta.value().entry_count, 1000u);
   EXPECT_EQ(meta.value().min_key, "k000000");
@@ -215,7 +247,7 @@ TEST_F(SSTableTest, WriteReadRoundTrip) {
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back.value().size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(back.value()[i].key, entries[i].key);
+    EXPECT_EQ(back.value()[i].key(), entries[i].key());
     EXPECT_EQ(back.value()[i].ref.addr, entries[i].ref.addr);
     EXPECT_EQ(back.value()[i].ref.size, entries[i].ref.size);
     EXPECT_EQ(back.value()[i].ref.tombstone, entries[i].ref.tombstone);
@@ -224,7 +256,7 @@ TEST_F(SSTableTest, WriteReadRoundTrip) {
 
 TEST_F(SSTableTest, MultiPageTable) {
   auto entries = MakeEntries(3000);  // ~66 KB > 4 pages.
-  auto meta = WriteSSTable(&ftl_, 2, kLsmLpnBase, entries);
+  auto meta = WriteTable(&ftl_, 2, kLsmLpnBase, entries);
   ASSERT_TRUE(meta.ok());
   EXPECT_GE(meta.value().page_count, 4u);
   auto back = ReadSSTable(&ftl_, meta.value());
@@ -233,7 +265,7 @@ TEST_F(SSTableTest, MultiPageTable) {
 }
 
 TEST_F(SSTableTest, EmptyTableRejected) {
-  EXPECT_FALSE(WriteSSTable(&ftl_, 3, kLsmLpnBase, {}).ok());
+  EXPECT_FALSE(WriteTable(&ftl_, 3, kLsmLpnBase, {}).ok());
 }
 
 TEST_F(SSTableTest, OverlapPredicate) {
@@ -249,40 +281,135 @@ TEST_F(SSTableTest, OverlapPredicate) {
 
 // --------------------------- Merge machinery -------------------------------
 
-TEST(MergeTest, NewestRunWins) {
-  std::vector<SSTableEntry> newer = {{"a", {1, 1, false}}, {"c", {3, 1, false}}};
-  std::vector<SSTableEntry> older = {{"a", {9, 9, false}}, {"b", {2, 1, false}}};
-  auto merged = MergeRuns({&newer, &older}, false);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].key, "a");
-  EXPECT_EQ(merged[0].ref.addr, 1u);  // From the newer run.
-  EXPECT_EQ(merged[1].key, "b");
-  EXPECT_EQ(merged[2].key, "c");
+// Drains a cursor over `runs` (newest first; each run a chain of segments).
+std::vector<PackedEntry> Merge(
+    const std::vector<std::vector<const std::vector<PackedEntry>*>>& runs,
+    bool drop_tombstones) {
+  std::vector<MergeRun> spans;
+  for (const auto& segments : runs) {
+    MergeRun run;
+    for (const auto* seg : segments) run.emplace_back(seg->data(), seg->size());
+    spans.push_back(std::move(run));
+  }
+  std::vector<PackedEntry> out;
+  for (MergeCursor c(std::move(spans), drop_tombstones); c.Valid(); c.Next()) {
+    out.push_back(c.entry());
+  }
+  return out;
 }
 
-TEST(MergeTest, TombstonesDroppedOnlyWhenAsked) {
-  std::vector<SSTableEntry> newer = {{"a", {0, 0, true}}};
-  std::vector<SSTableEntry> older = {{"a", {9, 9, false}}};
-  auto kept = MergeRuns({&newer, &older}, false);
+PackedEntry E(std::string_view key, ValueRef ref) {
+  return PackedEntry::Make(key, ref);
+}
+
+// The merge tests that write tables need the SSTable fixture's FTL.
+class MergeTest : public SSTableTest {};
+
+TEST_F(MergeTest, NewestRunWins) {
+  std::vector<PackedEntry> newer = {E("a", {1, 1, false}), E("c", {3, 1, false})};
+  std::vector<PackedEntry> older = {E("a", {9, 9, false}), E("b", {2, 1, false})};
+  auto merged = Merge({{&newer}, {&older}}, false);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].key(), "a");
+  EXPECT_EQ(merged[0].ref.addr, 1u);  // From the newer run.
+  EXPECT_EQ(merged[1].key(), "b");
+  EXPECT_EQ(merged[2].key(), "c");
+}
+
+TEST_F(MergeTest, TombstonesDroppedOnlyWhenAsked) {
+  std::vector<PackedEntry> newer = {E("a", {0, 0, true})};
+  std::vector<PackedEntry> older = {E("a", {9, 9, false})};
+  auto kept = Merge({{&newer}, {&older}}, false);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_TRUE(kept[0].ref.tombstone);
-  auto dropped = MergeRuns({&newer, &older}, true);
+  auto dropped = Merge({{&newer}, {&older}}, true);
   EXPECT_TRUE(dropped.empty());
 }
 
-TEST(MergeTest, SplitRunRespectsTargetBytes) {
+TEST_F(MergeTest, SplitRunRespectsTargetBytes) {
   auto entries = MakeEntries(1000);
   for (auto& e : entries) e.ref.tombstone = false;
-  auto splits = SplitRun(entries, 4096);
-  EXPECT_GT(splits.size(), 1u);
+  auto splits = BuildTables(&ftl_, 1, kLsmLpnBase, entries, 4096);
+  ASSERT_TRUE(splits.ok());
+  EXPECT_GT(splits.value().size(), 1u);
   std::size_t total = 0;
-  for (const auto& part : splits) {
+  for (const auto& part : splits.value()) {
     std::uint64_t bytes = 0;
-    for (const auto& e : part) bytes += EncodedEntrySize(e);
+    for (const auto& e : part.entries) bytes += EncodedEntrySize(e);
     EXPECT_LE(bytes, 4096u);
-    total += part.size();
+    total += part.entries.size();
   }
   EXPECT_EQ(total, 1000u);
+}
+
+// Over 50 seeds the cursor equals a std::map newest-wins fold of 1-6 random
+// runs, some chained from several (possibly empty) segments, with tombstone
+// dropping on and off. Keys span every length 1..16, NUL and 0xFF bytes.
+TEST_F(MergeTest, CursorMatchesMapFoldOverSeeds) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Xoshiro256 rng(seed);
+    const auto random_key = [&rng] {
+      std::string k(1 + rng.Below(kMaxKeySize), '\0');
+      for (char& c : k) {
+        const std::uint64_t r = rng.Below(8);
+        c = r == 0 ? '\0' : r == 1 ? '\xff' : static_cast<char>(rng.Below(256));
+      }
+      return k;
+    };
+    std::vector<std::string> pool;
+    for (int i = 0; i < 200; ++i) pool.push_back(random_key());
+    const std::size_t num_runs = 1 + rng.Below(6);
+    // Runs newest first; each a sorted set of keys with random refs.
+    std::vector<std::vector<PackedEntry>> runs(num_runs);
+    for (auto& run : runs) {
+      std::set<std::string> keys;
+      const std::uint64_t n = rng.Below(120);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        keys.insert(pool[rng.Below(pool.size())]);
+      }
+      for (const std::string& k : keys) {
+        run.push_back(E(k, {rng(), static_cast<std::uint32_t>(rng.Below(100)),
+                            rng.Below(4) == 0}));
+      }
+    }
+    // Chain some runs from up to four segments cut at random points.
+    std::vector<std::vector<std::vector<PackedEntry>>> segments(num_runs);
+    std::vector<std::vector<const std::vector<PackedEntry>*>> chained(num_runs);
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      const std::size_t parts = rng.Below(2) == 0 ? 1 : 1 + rng.Below(4);
+      std::vector<std::size_t> cuts = {0, runs[r].size()};
+      for (std::size_t p = 1; p < parts; ++p) {
+        cuts.push_back(rng.Below(runs[r].size() + 1));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
+        segments[r].emplace_back(
+            runs[r].begin() + static_cast<std::ptrdiff_t>(cuts[p]),
+            runs[r].begin() + static_cast<std::ptrdiff_t>(cuts[p + 1]));
+      }
+    }
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      for (const auto& seg : segments[r]) chained[r].push_back(&seg);
+    }
+    for (const bool drop : {false, true}) {
+      std::map<std::string, ValueRef> fold;
+      for (std::size_t r = num_runs; r-- > 0;) {  // Oldest first.
+        for (const PackedEntry& e : runs[r]) fold[std::string(e.key())] = e.ref;
+      }
+      auto merged = Merge(chained, drop);
+      auto out = merged.begin();
+      for (const auto& [key, ref] : fold) {
+        if (drop && ref.tombstone) continue;
+        ASSERT_NE(out, merged.end()) << "seed " << seed;
+        EXPECT_EQ(out->key(), key) << "seed " << seed;
+        EXPECT_EQ(out->ref.addr, ref.addr) << "seed " << seed;
+        EXPECT_EQ(out->ref.size, ref.size) << "seed " << seed;
+        EXPECT_EQ(out->ref.tombstone, ref.tombstone) << "seed " << seed;
+        ++out;
+      }
+      EXPECT_EQ(out, merged.end()) << "seed " << seed;
+    }
+  }
 }
 
 // --------------------------- LsmTree ---------------------------------------
@@ -429,7 +556,7 @@ TEST_F(LsmTreeTest, ForEachLiveVisitsEverything) {
   }
   ASSERT_TRUE(lsm_.Delete(Key(7)).ok());
   int visited = 0;
-  ASSERT_TRUE(lsm_.ForEachLive([&](const std::string&, const ValueRef&) {
+  ASSERT_TRUE(lsm_.ForEachLive([&](std::string_view, const ValueRef&) {
     ++visited;
   }).ok());
   EXPECT_EQ(visited, 299);
@@ -460,7 +587,7 @@ TEST_F(LsmTreeTest, CompactionTrimsOldTablesAfterCheckpoint) {
 
 TEST_F(SSTableTest, PagesAreSelfContained) {
   auto entries = MakeEntries(3000);  // Spans several pages.
-  auto meta = WriteSSTable(&ftl_, 10, kLsmLpnBase + 100, entries);
+  auto meta = WriteTable(&ftl_, 10, kLsmLpnBase + 100, entries);
   ASSERT_TRUE(meta.ok());
   ASSERT_GT(meta.value().page_count, 1u);
   ASSERT_EQ(meta.value().fence_keys.size(), meta.value().page_count);
@@ -470,7 +597,7 @@ TEST_F(SSTableTest, PagesAreSelfContained) {
     auto page = ReadSSTablePage(&ftl_, meta.value(), p);
     ASSERT_TRUE(page.ok()) << p;
     ASSERT_FALSE(page.value().empty());
-    EXPECT_EQ(page.value().front().key, meta.value().fence_keys[p]);
+    EXPECT_EQ(page.value().front().key(), meta.value().fence_keys[p]);
     total += page.value().size();
   }
   EXPECT_EQ(total, entries.size());
@@ -479,17 +606,17 @@ TEST_F(SSTableTest, PagesAreSelfContained) {
 
 TEST_F(SSTableTest, PageForKeyFindsUniqueCandidate) {
   auto entries = MakeEntries(3000);
-  auto meta = WriteSSTable(&ftl_, 11, kLsmLpnBase + 200, entries);
+  auto meta = WriteTable(&ftl_, 11, kLsmLpnBase + 200, entries);
   ASSERT_TRUE(meta.ok());
   // Every entry's key maps to the page that actually contains it.
   for (std::size_t i = 0; i < entries.size(); i += 97) {
-    const int p = meta.value().PageForKey(entries[i].key);
+    const int p = meta.value().PageForKey(std::string(entries[i].key()));
     ASSERT_GE(p, 0);
     auto page = ReadSSTablePage(&ftl_, meta.value(), static_cast<std::uint32_t>(p));
     ASSERT_TRUE(page.ok());
     bool found = false;
-    for (const auto& e : page.value()) found |= (e.key == entries[i].key);
-    EXPECT_TRUE(found) << entries[i].key;
+    for (const auto& e : page.value()) found |= (e.key() == entries[i].key());
+    EXPECT_TRUE(found) << entries[i].key();
   }
   // Below the minimum key: no candidate page.
   EXPECT_EQ(meta.value().PageForKey(""), -1);
